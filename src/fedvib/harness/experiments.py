@@ -14,11 +14,10 @@ import numpy as np
 from ..data import windows_for_batches
 from ..errors import ConfigError, WireError
 from ..model import (
-    AnomalyVerdict,
     ThresholdModel,
-    batch_anomaly_score,
     build_autoencoder,
     evaluate_detection,
+    score_batches,
     train_epochs,
     window_scores,
 )
@@ -106,17 +105,35 @@ def _metrics_from_verdicts(verdicts):
     return evaluate_detection(pred, truth)
 
 
-def _detection_from_results(node_results):
+def _detection_report(outcomes, untrained):
+    """``outcomes`` maps node id -> (verdicts, threshold trace)."""
     verdicts, trace, metrics = {}, {}, {}
-    for cid, res in sorted(node_results.items()):
-        verdicts[cid] = res.verdicts
-        trace[cid] = [s.threshold for s in res.round_stats] + [res.final_threshold.threshold]
-        m = _metrics_from_verdicts(res.verdicts)
+    for nid, (v, t) in sorted(outcomes.items()):
+        verdicts[nid], trace[nid] = v, t
+        m = _metrics_from_verdicts(v)
         if m is not None:
-            metrics[cid] = m
-    untrained = any(res.untrained for res in node_results.values())
+            metrics[nid] = m
     return DetectionReport(verdicts=verdicts, threshold_trace=trace,
                            metrics=metrics, untrained=untrained)
+
+
+def _detection_from_results(node_results):
+    return _detection_report(
+        {cid: (res.verdicts, [s.threshold for s in res.round_stats]
+               + [res.final_threshold.threshold])
+         for cid, res in node_results.items()},
+        untrained=any(res.untrained for res in node_results.values()))
+
+
+def _calibrate_and_score(model, config, cal_windows, batches, offset):
+    """Calibrate a threshold on ``cal_windows``, then score ``batches`` with
+    it; returns (verdicts, threshold trace)."""
+    threshold = ThresholdModel.calibrate(window_scores(model, cal_windows),
+                                         delta=config.delta,
+                                         mode=config.threshold_mode)
+    verdicts = score_batches(model, batches, offset, threshold,
+                             config.autoencoder.window_size, config.score_mode)
+    return verdicts, [threshold.threshold]
 
 
 def _network_from_federation(setups, fed):
@@ -138,48 +155,24 @@ def _run_federated_scenario(config, scenario, window_schedules=None):
         detection=_detection_from_results(fed.node_results),
         round_reports=fed.round_reports,
         network=_network_from_federation(setups, fed),
-        federation=fed), setups
+        federation=fed)
 
 
 # -- scenarios ----------------------------------------------------------------
 
 def run_historical(config):
     """Federated training on each node's full historical training segment."""
-    result, _ = _run_federated_scenario(config, "historical")
-    return result
+    return _run_federated_scenario(config, "historical")
 
 
 def run_cold_start(config):
     """Federated training where round r trains on the chronologically first
     64·r windows of each node (capped at availability)."""
-    setups = _prepare_all(config)
-    schedules = {
-        s.node_id: (lambda r, n=len(s.train_windows): cold_start_windows(r + 1, n))
-        for s in setups
-    }
-    fed = run_federation(setups, config, window_schedules=schedules)
-    return ExperimentResult(
-        scenario="cold_start",
-        detection=_detection_from_results(fed.node_results),
-        round_reports=fed.round_reports,
-        network=_network_from_federation(setups, fed),
-        federation=fed)
+    def schedule(r):
+        return cold_start_windows(r + 1)  # the node's slice caps it at availability
 
-
-def score_batches(model, batches, offset, threshold, window_size, score_mode="mean"):
-    """Score whole batches with a fitted model and a fixed threshold."""
-    verdicts = []
-    for i, batch in enumerate(batches):
-        n = batch.samples.shape[0] // window_size
-        if n == 0:
-            continue
-        ws = batch.samples[:n * window_size].reshape(n, window_size, batch.feature_count)
-        score = batch_anomaly_score(window_scores(model, ws), mode=score_mode)
-        verdicts.append(AnomalyVerdict(
-            batch_index=offset + i, timestamp=batch.timestamp, score=score,
-            threshold=threshold.threshold, verdict=threshold.classify(score),
-            label=batch.label))
-    return verdicts
+    return _run_federated_scenario(
+        config, "cold_start", {spec.id: schedule for spec in config.nodes})
 
 
 def run_knowledge_transfer(config, target_spec=None):
@@ -192,7 +185,7 @@ def run_knowledge_transfer(config, target_spec=None):
     target_spec = target_spec if target_spec is not None else config.transfer_target
     if target_spec is None:
         raise ConfigError("knowledge transfer needs a target dataset spec")
-    source, _ = _run_federated_scenario(config, "knowledge_transfer")
+    source = _run_federated_scenario(config, "knowledge_transfer")
 
     target = preprocess_dataset(load_raw_dataset(target_spec), target_spec)
     acfg = config.autoencoder
@@ -208,16 +201,8 @@ def run_knowledge_transfer(config, target_spec=None):
     if len(cal_w) == 0:
         raise ConfigError(f"transfer target {target_spec.id!r}: calibration "
                           f"batches yield no windows")
-    threshold = ThresholdModel.calibrate(window_scores(model, cal_w),
-                                         delta=config.delta,
-                                         mode=config.threshold_mode)
-    verdicts = score_batches(model, target.batches, 0, threshold,
-                             acfg.window_size, config.score_mode)
-    m = _metrics_from_verdicts(verdicts)
-    detection = DetectionReport(
-        verdicts={target_spec.id: verdicts},
-        threshold_trace={target_spec.id: [threshold.threshold]},
-        metrics={target_spec.id: m} if m is not None else {},
+    detection = _detection_report(
+        {target_spec.id: _calibrate_and_score(model, config, cal_w, target.batches, 0)},
         untrained=source.detection.untrained)
     return ExperimentResult(
         scenario="knowledge_transfer",
@@ -239,25 +224,16 @@ def run_centralized(config):
     log = train_epochs(model, pooled_train, config.train, epochs,
                        val_windows=pooled_val, seed=config.seed)
 
-    verdicts, trace, metrics = {}, {}, {}
-    for s in setups:
-        threshold = ThresholdModel.calibrate(
-            window_scores(model, s.val_windows),
-            delta=config.delta, mode=config.threshold_mode)
-        v = score_batches(model, s.test_batches, s.test_offset, threshold,
-                          config.autoencoder.window_size, config.score_mode)
-        verdicts[s.node_id] = v
-        trace[s.node_id] = [threshold.threshold]
-        m = _metrics_from_verdicts(v)
-        if m is not None:
-            metrics[s.node_id] = m
-
+    detection = _detection_report(
+        {s.node_id: _calibrate_and_score(model, config, s.val_windows,
+                                         s.test_batches, s.test_offset)
+         for s in setups},
+        untrained=epochs == 0)
     raw = sum(s.raw_bytes for s in setups)
     raw_original = sum(s.raw_bytes_original for s in setups)
     return ExperimentResult(
         scenario="centralized",
-        detection=DetectionReport(verdicts=verdicts, threshold_trace=trace,
-                                  metrics=metrics, untrained=epochs == 0),
+        detection=detection,
         round_reports=[],
         network=NetworkReport(federated_bytes=0, federated_bytes_by_node={},
                               raw_bytes=raw, raw_bytes_original=raw_original,

@@ -390,6 +390,22 @@ class AnomalyVerdict:
     label: str | None = None
 
 
+def score_batches(model, batches, offset, threshold, window_size, score_mode="mean"):
+    """Score whole batches with a fitted model and a fixed threshold."""
+    verdicts = []
+    for i, batch in enumerate(batches):
+        n = batch.samples.shape[0] // window_size
+        if n == 0:
+            continue
+        ws = batch.samples[:n * window_size].reshape(n, window_size, batch.feature_count)
+        score = batch_anomaly_score(window_scores(model, ws), mode=score_mode)
+        verdicts.append(AnomalyVerdict(
+            batch_index=offset + i, timestamp=batch.timestamp, score=score,
+            threshold=threshold.threshold, verdict=threshold.classify(score),
+            label=batch.label))
+    return verdicts
+
+
 @dataclass
 class DetectionMetrics:
     """Precision/recall/F1 with anomalous as the positive class.

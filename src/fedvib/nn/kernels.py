@@ -22,7 +22,7 @@ USE_NUMBA = os.environ.get("FEDVIB_DISABLE_NUMBA", "0") != "1"
 if USE_NUMBA:
     try:
         from numba import njit
-    except ImportError:  # pragma: no cover - numba is an install dependency
+    except ImportError:  # numba comes with the optional [jit] extra
         USE_NUMBA = False
 
 

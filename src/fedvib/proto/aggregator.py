@@ -12,8 +12,10 @@ order, applies the mean to the global model, and distributes the round-r+1
 model to every registered client.  Clients registering mid-round receive the
 current global model immediately and are expected from the next round on; a
 delta they submit for the in-flight round is acknowledged and discarded.
-A missing delta at the timeout aborts the round (no partial aggregation):
-every client gets an Error frame and RoundAbortError is raised.
+A missing delta at the timeout, or a delta whose tensor names or shapes
+differ from the global model's or that holds a non-finite value, aborts the
+round (no partial aggregation): every client gets an Error frame and
+RoundAbortError is raised.
 """
 
 import queue
@@ -21,7 +23,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..errors import ProtocolError, RoundAbortError, TransportError, WireError
+from ..errors import (
+    NumericsError,
+    ProtocolError,
+    RoundAbortError,
+    ShapeError,
+    TransportError,
+    WireError,
+)
+from ..nn.ops import check_finite, check_layout
 from .weights import apply_delta, fedavg
 from .wire import (
     ERR_DUPLICATE_ID,
@@ -64,6 +74,12 @@ class RoundState:
         if delta.base_round != self.round:
             raise ProtocolError(f"delta base_round {delta.base_round} != "
                                 f"round {self.round}")
+        try:
+            check_layout(self.global_weights.tensors, delta.tensors, "delta")
+            check_finite(delta.tensors, context="delta")
+        except (ShapeError, NumericsError) as e:
+            raise ProtocolError(f"client {client_id!r} sent an unusable "
+                                f"delta: {e}") from None
         self.received[client_id] = delta
 
     @property

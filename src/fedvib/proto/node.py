@@ -3,9 +3,10 @@
 A node is a single-threaded loop around one endpoint.  Per received global
 model of round r it trains its configured epochs (with the cumulative epoch
 counter ``r * epochs_per_round`` driving LR decay and shuffling), sends the
-float32 weight delta against that global model, recalibrates its local
-anomaly threshold on validation reconstruction errors, and waits for the
-next global model.  A global model whose round number reaches the configured
+float32 weight delta against that global model, scores its validation
+windows once (their mean is the round's validation loss, their spread
+calibrates the local anomaly threshold), and waits for the next global
+model.  A global model whose round number reaches the configured
 round count is final: the node scores its test batches with it and stops.
 """
 
@@ -16,10 +17,9 @@ import numpy as np
 
 from ..errors import ProtocolError, RoundAbortError
 from ..model import (
-    AnomalyVerdict,
     ThresholdModel,
-    batch_anomaly_score,
     build_autoencoder,
+    score_batches,
     train_epochs,
     window_scores,
 )
@@ -137,38 +137,35 @@ class TrainingNode:
                 windows = windows[:cfg.window_schedule(r)]
             round_start = model.weights_dict()
             result = train_epochs(
-                model, windows, cfg.train, cfg.epochs_per_round,
-                val_windows=self.val_windows, seed=cfg.seed,
+                model, windows, cfg.train, cfg.epochs_per_round, seed=cfg.seed,
                 epoch_offset=r * cfg.epochs_per_round,
                 adam_state=adam_state if cfg.persist_optimizer else None)
             if cfg.persist_optimizer:
                 adam_state = result.adam_state
             trained_any = True
 
-            if cfg.epochs_per_round == 1:
-                # the epoch commit already expressed the weights as
-                # round-start plus this exact float32 delta
-                delta_tensors = result.epoch_delta
-            else:
-                delta_tensors = weight_delta(model.param_refs(), round_start)
-                model.set_weights_dict(apply_weight_delta(round_start, delta_tensors))
+            delta_tensors = weight_delta(model.param_refs(), round_start)
+            model.set_weights_dict(apply_weight_delta(round_start, delta_tensors))
             endpoint.send(DeltaSubmission(
                 client_id=cfg.client_id, round=r,
                 delta=WeightDelta(delta_tensors, base_round=r),
                 windows_trained=len(windows)))
             deltas_sent += 1
 
-            threshold = self._calibrate(model)
+            scores = window_scores(model, self.val_windows)
+            threshold = self._calibrate(scores)
             stats.append(NodeRoundStats(
                 round=r,
                 train_loss=result.train_losses[-1],
-                val_loss=result.val_losses[-1] if result.val_losses else float("nan"),
+                val_loss=float(scores.mean()),
                 threshold=threshold.threshold,
                 windows_trained=len(windows),
                 duration_s=time.perf_counter() - t0))
 
-        final_threshold = self._calibrate(model)
-        verdicts = self._score_tests(model, final_threshold)
+        final_threshold = self._calibrate(window_scores(model, self.val_windows))
+        verdicts = score_batches(model, self.test_batches, self.test_offset,
+                                 final_threshold, cfg.autoencoder.window_size,
+                                 cfg.score_mode)
         endpoint.close()
         return NodeResult(client_id=cfg.client_id, round_stats=stats,
                           verdicts=verdicts,
@@ -177,26 +174,6 @@ class TrainingNode:
                           untrained=not trained_any,
                           deltas_sent=deltas_sent)
 
-    def _calibrate(self, model):
-        res = window_scores(model, self.val_windows)
-        return ThresholdModel.calibrate(res, delta=self.config.threshold_delta,
+    def _calibrate(self, scores):
+        return ThresholdModel.calibrate(scores, delta=self.config.threshold_delta,
                                         mode=self.config.threshold_mode)
-
-    def _score_tests(self, model, threshold):
-        window = self.config.autoencoder.window_size
-        verdicts = []
-        for i, batch in enumerate(self.test_batches):
-            n = batch.samples.shape[0] // window
-            if n == 0:
-                continue  # batch shorter than one window: nothing to score
-            ws = batch.samples[:n * window].reshape(n, window, batch.feature_count)
-            score = batch_anomaly_score(window_scores(model, ws),
-                                        mode=self.config.score_mode)
-            verdicts.append(AnomalyVerdict(
-                batch_index=self.test_offset + i,
-                timestamp=batch.timestamp,
-                score=score,
-                threshold=threshold.threshold,
-                verdict=threshold.classify(score),
-                label=batch.label))
-        return verdicts

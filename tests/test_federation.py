@@ -13,7 +13,15 @@ from fedvib.data import (
     windows_for_batches,
 )
 from fedvib.errors import ProtocolError, RoundAbortError
-from fedvib.model import AutoencoderConfig, build_autoencoder, train_epochs
+from fedvib.model import (
+    AutoencoderConfig,
+    LstmAutoencoder,
+    ThresholdModel,
+    build_autoencoder,
+    score_batches,
+    train_epochs,
+    window_scores,
+)
 from fedvib.nn import TrainConfig
 from fedvib.proto import (
     Ack,
@@ -329,6 +337,50 @@ def test_mid_round_disconnect_aborts():
     assert isinstance(box.get("error"), RoundAbortError)
 
 
+def _abort_on_bad_delta(bad_delta):
+    """b submits a good delta, a a bad one: every client must get an abort
+    frame and the global model must stay as it was."""
+    hub = InProcessHub()
+    init = global_init()
+    agg = AggregationNode(init, expected_clients=2, rounds=1,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    a, b = hub.connect(), hub.connect()
+    a.send(Register("a"))
+    b.send(Register("b"))
+    gm = a.recv(timeout=5.0)
+    b.recv(timeout=5.0)
+    b.send(DeltaSubmission("b", 0, _zero_delta(gm.weights, 0)))
+    a.send(DeltaSubmission("a", 0, bad_delta(gm.weights)))
+    for ep in (a, b):
+        err = ep.recv(timeout=5.0)
+        assert isinstance(err, Error) and err.code == ERR_ROUND_ABORT, err
+        assert "'a'" in err.text
+    t.join(timeout=10.0)
+    assert isinstance(box.get("error"), RoundAbortError)
+    assert agg.global_weights == init
+    assert agg.records == []
+
+
+def test_non_finite_delta_aborts_round():
+    def nan_delta(weights):
+        delta = _zero_delta(weights, 0)
+        next(iter(delta.tensors.values())).flat[0] = np.nan
+        return delta
+
+    _abort_on_bad_delta(nan_delta)
+
+
+def test_mismatched_delta_layout_aborts_round():
+    def short_delta(weights):
+        tensors = _zero_delta(weights, 0).tensors
+        first = next(iter(tensors))
+        tensors[first] = tensors[first][:-1]
+        return WeightDelta(tensors, base_round=0)
+
+    _abort_on_bad_delta(short_delta)
+
+
 # -- scripted node behavior --------------------------------------------------
 
 def _scripted_node(config, train_windows=None, val_windows=None):
@@ -407,3 +459,44 @@ def test_node_window_schedule_limits_training_data():
     # 10 windows available: the schedule caps at availability
     assert seen == [4, 8, 10]
     assert [s.windows_trained for s in box["result"].round_stats] == [4, 8, 10]
+
+
+def test_node_round_scores_each_validation_window_once(monkeypatch):
+    reconstructed = []
+    original = LstmAutoencoder.reconstruct
+
+    def counting(self, windows, chunk=256):
+        reconstructed.append(len(windows))
+        return original(self, windows, chunk=chunk)
+
+    monkeypatch.setattr(LstmAutoencoder, "reconstruct", counting)
+    rounds = 3
+    val = np.random.default_rng(1).normal(size=(5, ACFG.window_size, 1)).astype(np.float32)
+    server, t, box = _scripted_node(_node_config(rounds=rounds), val_windows=val)
+    server.recv(timeout=5.0)
+    weights = global_init()
+    for r in range(rounds + 1):
+        server.send(GlobalModel(round=r, weights=weights))
+        if r < rounds:
+            assert isinstance(server.recv(timeout=10.0), DeltaSubmission)
+    t.join(timeout=10.0)
+    assert "error" not in box
+    # one validation pass per round, one more to calibrate the final model;
+    # the scripted node has no test batches
+    assert sum(reconstructed) == (rounds + 1) * len(val)
+    stats = box["result"].round_stats
+    assert all(np.isfinite(s.val_loss) for s in stats)
+
+
+def test_node_verdicts_equal_batch_scorer_on_final_model():
+    seeds = {"n1": 1, "n2": 2}
+    _, _, results, _ = run_federation(seeds, rounds=2)
+    for cid, seed in seeds.items():
+        res = results[cid]
+        _, vaw, test, offset = node_data(seed)
+        model = build_autoencoder(ACFG)
+        model.set_weights_dict(res.final_weights.tensors)
+        assert res.final_threshold == ThresholdModel.calibrate(window_scores(model, vaw))
+        expected = score_batches(model, test, offset, res.final_threshold,
+                                 ACFG.window_size)
+        assert res.verdicts == expected and len(expected) > 0

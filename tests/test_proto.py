@@ -230,6 +230,20 @@ def test_round_state_guards():
         state.aggregate()  # forward-only
 
 
+@pytest.mark.parametrize("tensors", [
+    {"w": np.float32([0.0, np.nan, 0.0])},
+    {"w": np.float32([np.inf, 0.0, 0.0])},
+    {"w": np.float32([0.0, 0.0])},
+    {"v": np.float32([0.0, 0.0, 0.0])},
+    {"w": np.float32([0.0, 0.0, 0.0]), "extra": np.float32([0.0])},
+], ids=["nan", "inf", "shape", "name", "extra-tensor"])
+def test_round_state_rejects_unusable_delta(tensors):
+    state = _toy_state()
+    with pytest.raises(ProtocolError, match="'a'"):
+        state.record("a", WeightDelta(tensors))
+    assert state.missing == ["a", "b"]
+
+
 # -- wire codec --------------------------------------------------------------
 
 def test_wire_round_trip_all_message_types():
