@@ -20,7 +20,7 @@ from ..data import (
     standardize_dataset,
 )
 from ..errors import ConfigError, IngestionError
-from ..model import THRESHOLD_MODES, AutoencoderConfig
+from ..model import SCORE_MODES, THRESHOLD_MODES, AutoencoderConfig
 from ..nn import TrainConfig
 
 SCENARIOS = ("historical", "cold_start", "knowledge_transfer", "centralized")
@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(f"threshold_mode must be one of {THRESHOLD_MODES}")
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"score_mode must be one of {SCORE_MODES}")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
         if self.scenario == "knowledge_transfer" and self.transfer_target is None:

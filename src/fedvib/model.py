@@ -30,6 +30,7 @@ from .nn import (
 )
 
 THRESHOLD_MODES = ("mean_plus_sigma", "paper_literal")
+SCORE_MODES = ("mean", "max")
 SIGMA_FLOOR = 1e-12
 THRESHOLD_FLOOR_MARGIN = 1e-9
 
@@ -239,7 +240,6 @@ def build_autoencoder(config, seed=0, dtype=np.float32):
 class TrainResult:
     train_losses: list
     val_losses: list
-    epoch_delta: dict | None
     adam_state: AdamState
     duration_s: float = 0.0
 
@@ -255,8 +255,7 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
     ``epoch_offset`` is the number of epochs already completed (it drives both
     the LR decay schedule and the shuffle stream, so federated rounds and one
     long local run traverse identical arithmetic).  Each epoch ends by
-    re-expressing the weights as epoch-start plus the float32 epoch delta;
-    that committed delta is returned for the last epoch.
+    re-expressing the weights as epoch-start plus the float32 epoch delta.
     """
     windows = np.ascontiguousarray(train_windows, dtype=model.dtype)
     if windows.ndim != 3:
@@ -273,7 +272,6 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
 
     train_losses = []
     val_losses = []
-    last_delta = None
     for e in range(n_epochs):
         global_epoch = epoch_offset + e
         lr = decayed_lr(cfg.learning_rate, global_epoch, cfg.lr_decay)
@@ -295,8 +293,8 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
             clip_gradients(grads, cfg.clip_max_norm)
             adam_step(params, grads, adam_state, lr)
 
-        last_delta = weight_delta(model.param_refs(), start_weights)
-        model.set_weights_dict(apply_weight_delta(start_weights, last_delta))
+        delta = weight_delta(model.param_refs(), start_weights)
+        model.set_weights_dict(apply_weight_delta(start_weights, delta))
         check_finite(model.param_refs(), context=f"epoch {global_epoch}")
 
         train_losses.append(float(np.mean(batch_losses)))
@@ -304,8 +302,7 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
             val_losses.append(evaluate_loss(model, val_windows))
 
     return TrainResult(train_losses=train_losses, val_losses=val_losses,
-                       epoch_delta=last_delta, adam_state=adam_state,
-                       duration_s=time.perf_counter() - t0)
+                       adam_state=adam_state, duration_s=time.perf_counter() - t0)
 
 
 def evaluate_loss(model, windows, chunk=256):
@@ -337,11 +334,9 @@ def batch_anomaly_score(scores, mode="mean"):
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ShapeError("batch produced no windows to score")
-    if mode == "mean":
-        return float(scores.mean())
-    if mode == "max":
-        return float(scores.max())
-    raise ConfigError(f"unknown batch score mode {mode!r}")
+    if mode not in SCORE_MODES:
+        raise ConfigError(f"unknown batch score mode {mode!r}, pick from {SCORE_MODES}")
+    return float(scores.mean() if mode == "mean" else scores.max())
 
 
 @dataclass

@@ -1,21 +1,23 @@
 """Aggregation-node lifecycle: registration, synchronous rounds, FedAvg.
 
-Structure: one acceptor thread and one reader thread per connection feed a
-single inbox queue; the coordinator (the ``run`` loop) is the only thread
-that mutates round state or writes to endpoints, so rounds are serialized
-through one writer.
+Structure: an acceptor thread and one reader thread per accepted connection
+feed one inbox of events; the coordinator (the thread in ``run``) alone
+applies them, through ``_handle``, so it is the only writer of state and
+endpoints.  The registry holds the clients registered and still connected.
 
 Round protocol: round r begins with every registered client holding the
-round-r global model.  The coordinator collects one delta per expected
-client (a synchronous barrier), averages them with the client ids in sorted
-order, applies the mean to the global model, and distributes the round-r+1
-model to every registered client.  Clients registering mid-round receive the
-current global model immediately and are expected from the next round on; a
-delta they submit for the in-flight round is acknowledged and discarded.
-A missing delta at the timeout, or a delta whose tensor names or shapes
-differ from the global model's or that holds a non-finite value, aborts the
-round (no partial aggregation): every client gets an Error frame and
-RoundAbortError is raised.
+round-r global model.  The coordinator collects one delta per participant
+(the clients registered when the round began), averages them in sorted
+client id order, applies the mean to the global model, and sends the
+round-r+1 model to every registered client.  A client registering mid-round
+gets the current model at once and takes part from the next round; its
+delta for the in-flight round is acknowledged and discarded.  A client
+whose connection closes, breaks or fails a send leaves the registry.  The
+round aborts, with no partial aggregation, if a participant leaves before
+submitting, a delta is missing at the timeout, or a delta's tensor names or
+shapes differ from the global model's or it holds a non-finite value.  Every
+FedvibError leaving ``run`` first reaches each registered client as an
+ERR_ROUND_ABORT Error frame.
 """
 
 import queue
@@ -24,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..errors import (
+    FedvibError,
     NumericsError,
     ProtocolError,
     RoundAbortError,
@@ -42,9 +45,8 @@ from .wire import (
     Error,
     GlobalModel,
     Register,
+    max_payload_size,
 )
-
-ROUND_STATUSES = ("collecting", "aggregated", "distributed")
 
 
 @dataclass
@@ -142,13 +144,15 @@ class AggregationNode:
         self.round_timeout_s = round_timeout_s
         self.records = []
         self.current_round = 0
-        self._clients = {}       # client_id -> endpoint
-        self._conn_ids = {}      # id(conn) -> client_id
+        self._clients = {}       # endpoint -> client id, registered and connected
+        self._endpoints = []     # every accepted endpoint, for bytes and shutdown
+        self._parked = []        # round-0 delta events sent before registration ended
+        self._windows = {}       # client id -> windows trained, this round
+        self._late = 0           # submissions outside this round's participants
         self._sent_base = 0      # bytes already attributed to earlier records
         self._recv_base = 0
         self._threads = []
         self._inbox = queue.Queue()
-        self._deferred = []      # events parked during registration, replayed first
         self._stop = threading.Event()
 
     # -- plumbing ------------------------------------------------------------
@@ -169,59 +173,106 @@ class AggregationNode:
             self._inbox.put(("connect", conn, None))
 
     def _reader(self, conn):
-        while True:
-            try:
-                msg = conn.recv(timeout=None)
-            except (TransportError, WireError) as e:
-                self._inbox.put(("broken", conn, e))
-                return
-            if msg is None:
-                self._inbox.put(("closed", conn, None))
-                return
-            self._inbox.put(("msg", conn, msg))
-
-    def _next_event(self, deadline):
-        if self._deferred:
-            return self._deferred.pop(0)
+        """Forward one connection's messages, then ``closed`` with any error."""
+        error = None
         try:
-            return self._inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-        except queue.Empty:
-            return None
+            while (msg := conn.recv(timeout=None)) is not None:
+                self._inbox.put(("msg", conn, msg))
+        except (TransportError, WireError) as e:
+            error = e
+        self._inbox.put(("closed", conn, error))
 
-    def _handle_register(self, conn, msg):
-        """Returns the client id if accepted, None if rejected."""
-        if msg.client_id in self._clients:
-            conn.send(Error(code=ERR_DUPLICATE_ID,
-                            text=f"client id {msg.client_id!r} already registered"))
-            conn.close()
-            return None
-        self._clients[msg.client_id] = conn
-        self._conn_ids[id(conn)] = msg.client_id
-        conn.send(GlobalModel(round=self.current_round,
-                              weights=self.global_weights))
-        self._spawn(self._reader, conn)
-        return msg.client_id
+    def _send(self, conn, msg, state):
+        try:
+            conn.send(msg)
+        except TransportError as e:
+            self._drop(conn, state, e)
 
-    def _broadcast_error(self, code, text):
-        for cid in sorted(self._clients):
-            try:
-                self._clients[cid].send(Error(code=code, text=text))
-            except TransportError:
-                pass
+    def _broadcast(self, msg):
+        for conn, _ in sorted(self._clients.items(), key=lambda item: item[1]):
+            self._send(conn, msg, None)
 
-    def _bytes_totals(self):
-        sent = sum(c.bytes_sent for c in self._clients.values())
-        received = sum(c.bytes_received for c in self._clients.values())
-        return sent, received
+    def _reject(self, conn, state, code, text):
+        self._send(conn, Error(code=code, text=text), state)
+        self._drop(conn, state, text)
+
+    def _drop(self, conn, state, reason):
+        """Close a connection and forget its client; abort if it owes a delta."""
+        conn.close()
+        cid = self._clients.pop(conn, None)
+        self._parked = [ev for ev in self._parked if ev[1] is not conn]
+        if (state is not None and cid in state.expected_clients
+                and cid not in state.received):
+            raise RoundAbortError(f"round {state.round}: client {cid!r} "
+                                  f"disconnected before submitting ({reason})")
 
     def _shutdown(self, listener):
         self._stop.set()
-        if listener is not None:
-            listener.close()
-        for conn in self._clients.values():
+        listener.close()
+        self._threads[0].join(timeout=5.0)  # the acceptor: no connect after this
+        while not self._inbox.empty():  # connections accepted, never handled
+            kind, conn, _ = self._inbox.get_nowait()
+            if kind == "connect":
+                self._endpoints.append(conn)
+        for conn in self._endpoints:
             conn.close()
         for t in self._threads:
             t.join(timeout=5.0)
+
+    # -- events --------------------------------------------------------------
+
+    def _serve(self, state, done, timeout_s, waiting_for):
+        """Apply events until ``done()``; abort once ``timeout_s`` passes."""
+        deadline = time.monotonic() + timeout_s
+        while not done():
+            try:
+                event = self._inbox.get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                raise RoundAbortError(f"{waiting_for()} within {timeout_s}s") from None
+            self._handle(event, state)
+
+    def _handle(self, event, state):
+        """Apply one event; ``state`` is the round in flight, or None while
+        clients register."""
+        kind, conn, msg = event
+        cid = self._clients.get(conn)
+        if kind == "connect":
+            conn.max_payload = max_payload_size(self.global_weights.tensors)
+            self._endpoints.append(conn)
+            self._spawn(self._reader, conn)
+        elif kind == "closed" and isinstance(msg, WireError):
+            self._reject(conn, state, ERR_PROTOCOL, str(msg))
+        elif kind == "closed":
+            self._drop(conn, state, msg or "connection closed")
+        elif cid is None and not isinstance(msg, Register):
+            self._reject(conn, state, ERR_PROTOCOL,
+                         f"expected Register, got {type(msg).__name__}")
+        elif cid is None and msg.client_id in self._clients.values():
+            self._reject(conn, state, ERR_DUPLICATE_ID,
+                         f"client id {msg.client_id!r} already registered")
+        elif cid is None:  # takes part from the next round
+            self._clients[conn] = msg.client_id
+            self._send(conn, GlobalModel(round=self.current_round,
+                                         weights=self.global_weights), state)
+        elif not isinstance(msg, DeltaSubmission):
+            self._send(conn, Error(code=ERR_PROTOCOL,
+                                   text=f"unexpected {type(msg).__name__} on the "
+                                        f"connection registered as {cid!r}"), state)
+        elif msg.client_id != cid:
+            self._send(conn, Error(code=ERR_PROTOCOL,
+                                   text=f"submission claims {msg.client_id!r} "
+                                        f"but the connection registered {cid!r}"), state)
+        elif state is None:  # raced ahead into round 0 before the last registration
+            self._parked.append(event)
+        elif cid not in state.expected_clients:  # joined mid-round
+            self._late += 1
+            self._send(conn, Ack(), state)
+        else:
+            try:
+                state.record(cid, msg.delta)
+            except ProtocolError as e:
+                raise RoundAbortError(f"round {state.round}: {e}") from None
+            self._windows[cid] = msg.windows_trained
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -229,123 +280,50 @@ class AggregationNode:
         """Serve one full federation; returns the per-round records."""
         self._spawn(self._acceptor, listener)
         try:
-            self._registration_phase()
+            self._serve(None, lambda: len(self._clients) >= self.expected_clients,
+                        self.registration_timeout_s,
+                        lambda: (f"only {len(self._clients)} of "
+                                 f"{self.expected_clients} clients registered"))
             for r in range(self.rounds):
                 self._run_round(r)
             return self.records
+        except FedvibError as e:
+            self._broadcast(Error(code=ERR_ROUND_ABORT, text=str(e)))
+            raise
         finally:
             self._shutdown(listener)
-
-    def _registration_phase(self):
-        deadline = time.monotonic() + self.registration_timeout_s
-        deferred = []
-        while len(self._clients) < self.expected_clients:
-            try:
-                ev = self._inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                raise RoundAbortError(
-                    f"only {len(self._clients)} of {self.expected_clients} "
-                    f"clients registered within {self.registration_timeout_s}s"
-                ) from None
-            kind, conn, payload = ev
-            if id(conn) in self._conn_ids and kind != "connect":
-                # an already-registered client got its model and raced ahead
-                # into round 0; park the event for the round loop
-                deferred.append(ev)
-            elif kind == "connect":
-                self._spawn(self._first_message_reader, conn)
-            elif kind == "msg" and isinstance(payload, Register):
-                self._handle_register(conn, payload)
-            elif kind == "msg":
-                conn.send(Error(code=ERR_PROTOCOL,
-                                text=f"expected Register, got {type(payload).__name__}"))
-                conn.close()
-            # closed/broken before registration: nothing to clean up
-        self._deferred.extend(deferred)
-
-    def _first_message_reader(self, conn):
-        """Read exactly one message from a fresh connection (its Register)."""
-        try:
-            msg = conn.recv(timeout=self.registration_timeout_s)
-        except (TransportError, WireError) as e:
-            self._inbox.put(("broken", conn, e))
-            return
-        if msg is None:
-            self._inbox.put(("closed", conn, None))
-            return
-        self._inbox.put(("msg", conn, msg))
 
     def _run_round(self, r):
         t0 = time.monotonic()
         sent0, recv0 = self._sent_base, self._recv_base
-        participants = frozenset(self._clients)
         state = RoundState(round=r, global_weights=self.global_weights,
-                           expected_clients=participants)
-        windows_trained = {}
-        late = 0
-        deadline = time.monotonic() + self.round_timeout_s
-
-        while not state.complete():
-            ev = self._next_event(deadline)
-            if ev is None:
-                diagnostic = (f"round {r}: no delta from {state.missing} "
-                              f"within {self.round_timeout_s}s")
-                self._broadcast_error(ERR_ROUND_ABORT, diagnostic)
-                raise RoundAbortError(diagnostic)
-            kind, conn, payload = ev
-            if kind == "connect":
-                self._spawn(self._first_message_reader, conn)
-            elif kind in ("closed", "broken"):
-                cid = self._conn_ids.get(id(conn))
-                if cid in participants and cid not in state.received:
-                    diagnostic = (f"round {r}: client {cid!r} disconnected "
-                                  f"before submitting ({payload})")
-                    self._broadcast_error(ERR_ROUND_ABORT, diagnostic)
-                    raise RoundAbortError(diagnostic)
-            elif kind == "msg" and isinstance(payload, Register):
-                self._handle_register(conn, payload)  # joins next round
-            elif kind == "msg" and isinstance(payload, DeltaSubmission):
-                cid = self._conn_ids.get(id(conn))
-                if payload.client_id != cid:
-                    conn.send(Error(code=ERR_PROTOCOL,
-                                    text=f"submission claims {payload.client_id!r} "
-                                         f"but the connection registered {cid!r}"))
-                    continue
-                if cid not in participants:
-                    late += 1
-                    conn.send(Ack())
-                    continue
-                try:
-                    state.record(cid, payload.delta)
-                    windows_trained[cid] = payload.windows_trained
-                except ProtocolError as e:
-                    diagnostic = f"round {r}: {e}"
-                    self._broadcast_error(ERR_ROUND_ABORT, diagnostic)
-                    raise RoundAbortError(diagnostic) from None
-            elif kind == "msg":
-                conn.send(Error(code=ERR_PROTOCOL,
-                                text=f"unexpected {type(payload).__name__} mid-round"))
+                           expected_clients=frozenset(self._clients.values()))
+        self._windows, self._late = {}, 0
+        parked, self._parked = self._parked, []
+        for event in parked:
+            self._handle(event, state)
+        self._serve(state, state.complete, self.round_timeout_s,
+                    lambda: f"round {r}: no delta from {state.missing}")
 
         # Snapshot received bytes now, while every participant is blocked
         # awaiting the next model: once the broadcast unblocks a fast client
         # its round r+1 delta could hit a reader thread before we stamp the
         # record, smearing its bytes into this round.
-        _, recv1 = self._bytes_totals()
+        recv1 = sum(c.bytes_received for c in self._endpoints)
 
         self.global_weights = state.aggregate()
         self.current_round = r + 1
-        for cid in sorted(self._clients):
-            self._clients[cid].send(GlobalModel(round=self.current_round,
-                                                weights=self.global_weights))
+        self._broadcast(GlobalModel(round=self.current_round,
+                                    weights=self.global_weights))
         state.mark_distributed()
 
-        sent1, _ = self._bytes_totals()
+        sent1 = sum(c.bytes_sent for c in self._endpoints)
         self._sent_base, self._recv_base = sent1, recv1
         self.records.append(RoundRecord(
             round=r,
-            client_ids=sorted(participants),
-            windows_trained=windows_trained,
+            client_ids=sorted(state.expected_clients),
+            windows_trained=self._windows,
             bytes_sent=sent1 - sent0,
             bytes_received=recv1 - recv0,
             duration_s=time.monotonic() - t0,
-            late_submissions=late))
+            late_submissions=self._late))

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ProtocolError, RoundAbortError
+from ..errors import ConfigError, ProtocolError, RoundAbortError
 from ..model import (
+    SCORE_MODES,
+    THRESHOLD_MODES,
     ThresholdModel,
     build_autoencoder,
     score_batches,
@@ -32,6 +34,7 @@ from .wire import (
     Error,
     GlobalModel,
     Register,
+    max_payload_size,
 )
 
 
@@ -60,6 +63,10 @@ class TrainingNodeConfig:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.epochs_per_round < 1:
             raise ValueError(f"epochs_per_round must be >= 1, got {self.epochs_per_round}")
+        if self.threshold_mode not in THRESHOLD_MODES:
+            raise ConfigError(f"threshold_mode must be one of {THRESHOLD_MODES}")
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"score_mode must be one of {SCORE_MODES}")
 
 
 @dataclass
@@ -101,6 +108,7 @@ class TrainingNode:
     def run(self, endpoint):
         cfg = self.config
         model = build_autoencoder(cfg.autoencoder, seed=cfg.seed)
+        endpoint.max_payload = max_payload_size(model.param_refs())
         endpoint.send(Register(cfg.client_id))
 
         stats = []

@@ -24,6 +24,8 @@ _CLOSE = object()
 
 
 class _CountingEndpoint:
+    max_payload = None  # socket recv bound; owners set wire.max_payload_size
+
     def __init__(self):
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -147,7 +149,7 @@ class SocketEndpoint(_CountingEndpoint):
             self._sock.settimeout(timeout)
         except OSError:
             return None  # closed underneath us
-        return read_frame(self._read_exact)
+        return read_frame(self._read_exact, self.max_payload)
 
     def close(self):
         if not self._closed:

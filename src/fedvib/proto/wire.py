@@ -89,6 +89,12 @@ def weights_payload_size(tensors):
     return total
 
 
+def max_payload_size(tensors):
+    """Largest legal payload for a model layout: a DeltaSubmission under the
+    longest client id, which also bounds every other message type."""
+    return 2 + MAX_NAME_LEN + 8 + 8 + weights_payload_size(tensors)
+
+
 # -- encoding ----------------------------------------------------------------
 
 def _encode_str(out, s):
@@ -259,10 +265,11 @@ def decode_frame(data):
     return msg
 
 
-def read_frame(read):
+def read_frame(read, max_payload=None):
     """Assemble one frame from a ``read(n) -> bytes`` callable (short reads
     signal EOF).  Returns the raw frame bytes, or None on clean EOF before
-    any byte arrives."""
+    any byte arrives.  A header announcing more than ``max_payload`` bytes
+    raises WireError before any of the payload is read."""
     header = read(HEADER_SIZE)
     if not header:
         return None
@@ -271,6 +278,9 @@ def read_frame(read):
     if header[:4] != MAGIC:
         raise WireError(f"bad magic {header[:4]!r}, expected {MAGIC!r}", offset=0)
     (payload_len,) = struct.unpack("<Q", header[6:14])
+    if max_payload is not None and payload_len > max_payload:
+        raise WireError(f"payload length {payload_len} exceeds the "
+                        f"{max_payload}-byte limit", offset=6)
     payload = read(payload_len) if payload_len else b""
     if len(payload) < payload_len:
         raise WireError("connection closed mid-payload",

@@ -1,7 +1,9 @@
 """End-to-end federation tests over both transports, plus node/aggregator
 edge cases driven through scripted endpoints."""
 
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from fedvib.data import (
     generate_synthetic,
     windows_for_batches,
 )
-from fedvib.errors import ProtocolError, RoundAbortError
+from fedvib.errors import ConfigError, ProtocolError, RoundAbortError, TransportError
 from fedvib.model import (
     AutoencoderConfig,
     LstmAutoencoder,
@@ -38,7 +40,14 @@ from fedvib.proto import (
     connect_socket,
     serve_sockets,
 )
-from fedvib.proto.wire import ERR_DUPLICATE_ID, ERR_ROUND_ABORT
+from fedvib.proto.wire import (
+    ERR_DUPLICATE_ID,
+    ERR_PROTOCOL,
+    ERR_ROUND_ABORT,
+    MAGIC,
+    MSG_DELTA_SUBMISSION,
+    VERSION,
+)
 
 ACFG = AutoencoderConfig(feature_count=1, window_size=10, outer_layer_sizes=(4,),
                          encoding_size=2)
@@ -381,6 +390,191 @@ def test_mismatched_delta_layout_aborts_round():
     _abort_on_bad_delta(short_delta)
 
 
+# -- departures, re-registration and shutdown -------------------------------
+
+def _until(condition, timeout=5.0):
+    """Wait for the aggregator to reach a state the test must not race."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "aggregator never got there"
+        time.sleep(0.01)
+
+
+def _registered(agg):
+    return sorted(agg._clients.values())
+
+
+def _register_all(hub, ids):
+    eps = {cid: hub.connect() for cid in ids}
+    for cid, ep in eps.items():
+        ep.send(Register(cid))
+    return eps, {cid: ep.recv(timeout=5.0) for cid, ep in eps.items()}
+
+
+def _submit_round(eps, models, r):
+    """Every endpoint submits a zero delta for round r; returns the next models."""
+    for cid, ep in eps.items():
+        ep.send(DeltaSubmission(cid, r, _zero_delta(models[cid].weights, r)))
+    nxt = {cid: ep.recv(timeout=5.0) for cid, ep in eps.items()}
+    assert all(isinstance(m, GlobalModel) and m.round == r + 1 for m in nxt.values())
+    return nxt
+
+
+def test_late_joiner_that_leaves_is_not_expected_next_round():
+    hub = InProcessHub()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+
+    c = hub.connect()
+    c.send(Register("c"))
+    assert c.recv(timeout=5.0).round == 0  # joined during round 0
+    c.close()
+    _until(lambda: _registered(agg) == ["a", "b"])
+
+    models = _submit_round(eps, models, 0)
+    _submit_round(eps, models, 1)
+    t.join(timeout=10.0)
+    assert not t.is_alive() and "error" not in box
+    assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["a", "b"]]
+
+
+def test_second_register_on_a_connection_is_refused():
+    hub = InProcessHub()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+
+    eps["a"].send(Register("a2"))
+    err = eps["a"].recv(timeout=5.0)
+    assert isinstance(err, Error) and err.code == ERR_PROTOCOL
+    assert "'a'" in err.text
+    assert _registered(agg) == ["a", "b"]
+    # the acceptor plus one reader per connection
+    assert sum(th.is_alive() for th in agg._threads) == 3
+
+    models = _submit_round(eps, models, 0)
+    _submit_round(eps, models, 1)
+    t.join(timeout=10.0)
+    assert not t.is_alive() and "error" not in box
+    assert box["records"][1].client_ids == ["a", "b"]
+
+
+def test_registration_timeout_tells_registered_clients():
+    hub = InProcessHub()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+                          registration_timeout_s=0.3, round_timeout_s=5.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, _ = _register_all(hub, ["a"])
+    err = eps["a"].recv(timeout=5.0)
+    assert isinstance(err, Error) and err.code == ERR_ROUND_ABORT
+    assert "1 of 2" in err.text
+    assert eps["a"].recv(timeout=5.0) is None
+    t.join(timeout=10.0)
+    assert isinstance(box.get("error"), RoundAbortError)
+
+
+def test_unregistered_socket_is_closed_when_run_returns():
+    listener = serve_sockets()
+    agg = AggregationNode(global_init(), expected_clients=1, rounds=0,
+                          registration_timeout_s=30.0, round_timeout_s=5.0)
+    t, box = _start_aggregator(agg, listener)
+    silent = connect_socket("127.0.0.1", listener.port)
+    a = connect_socket("127.0.0.1", listener.port)
+    try:
+        a.send(Register("a"))
+        assert a.recv(timeout=5.0).round == 0
+        assert a.recv(timeout=5.0) is None
+        assert silent.recv(timeout=5.0) is None
+        t.join(timeout=10.0)
+        assert not t.is_alive() and box["records"] == []
+    finally:
+        silent.close()
+        a.close()
+
+
+def test_early_delta_of_a_departed_client_is_discarded():
+    hub = InProcessHub()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    early, models = _register_all(hub, ["a"])
+    # a races ahead into round 0 before anyone else registered, then leaves
+    early["a"].send(DeltaSubmission("a", 0, _zero_delta(models["a"].weights, 0)))
+    early["a"].close()
+    _until(lambda: _registered(agg) == [])
+
+    eps, models = _register_all(hub, ["b", "c"])
+    _submit_round(eps, models, 0)
+    t.join(timeout=10.0)
+    assert not t.is_alive() and "error" not in box
+    rec = box["records"][0]
+    assert rec.client_ids == ["b", "c"] and rec.late_submissions == 0
+
+
+def test_failed_send_drops_only_that_peer():
+    hub = InProcessHub()
+    accepted = []
+
+    class Listener:
+        def accept(self, timeout=None):
+            conn = hub.accept(timeout)
+            accepted.append(conn)
+            return conn
+
+        def close(self):
+            hub.close()
+
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, Listener())
+    eps, models = _register_all(hub, ["a", "b"])
+
+    def unreachable(msg):
+        raise TransportError("peer unreachable")
+
+    accepted[1].send = unreachable  # the aggregator's side of b
+    for cid, ep in eps.items():
+        ep.send(DeltaSubmission(cid, 0, _zero_delta(models[cid].weights, 0)))
+    model_a = eps["a"].recv(timeout=5.0)
+    assert model_a.round == 1
+    assert eps["b"].recv(timeout=5.0) is None  # dropped, not aborted
+    del eps["b"]
+    _submit_round(eps, {"a": model_a}, 1)
+    t.join(timeout=10.0)
+    assert not t.is_alive() and "error" not in box
+    assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["a"]]
+
+
+def test_oversized_frame_is_refused_before_its_payload():
+    listener = serve_sockets()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, listener)
+    a = connect_socket("127.0.0.1", listener.port)
+    b = connect_socket("127.0.0.1", listener.port)
+    try:
+        for cid, ep in (("a", a), ("b", b)):
+            ep.send(Register(cid))
+            assert ep.recv(timeout=5.0).round == 0
+        # a announces a 1 TiB delta and never sends it
+        a._sock.sendall(MAGIC + struct.pack("<BBQ", VERSION, MSG_DELTA_SUBMISSION, 2**40))
+        err = a.recv(timeout=5.0)
+        assert isinstance(err, Error) and err.code == ERR_PROTOCOL
+        assert "limit" in err.text
+        assert a.recv(timeout=5.0) is None
+        err = b.recv(timeout=5.0)
+        assert isinstance(err, Error) and err.code == ERR_ROUND_ABORT
+        assert "'a'" in err.text
+        t.join(timeout=10.0)
+        assert isinstance(box.get("error"), RoundAbortError)
+    finally:
+        a.close()
+        b.close()
+
+
 # -- scripted node behavior --------------------------------------------------
 
 def _scripted_node(config, train_windows=None, val_windows=None):
@@ -412,6 +606,12 @@ def _node_config(**kw):
                     recv_timeout_s=5.0)
     defaults.update(kw)
     return TrainingNodeConfig(**defaults)
+
+
+@pytest.mark.parametrize("field", ["threshold_mode", "score_mode"])
+def test_node_config_rejects_unknown_modes(field):
+    with pytest.raises(ConfigError, match=field):
+        _node_config(**{field: "bogus"})
 
 
 def test_node_raises_on_round_abort_error():

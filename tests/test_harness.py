@@ -371,6 +371,8 @@ def test_experiment_config_validation():
         make_config(scenario="historical", transfer_target=node_spec(9))
     with pytest.raises(ConfigError, match="transfer_target"):
         make_config(scenario="knowledge_transfer")
+    with pytest.raises(ConfigError, match="score_mode"):
+        make_config(score_mode="maxx")
 
 
 def test_dataset_spec_validation():

@@ -2,6 +2,7 @@
 and round-state bookkeeping."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from fedvib.proto import (
     fedavg,
     weights_payload_size,
 )
-from fedvib.proto.wire import HEADER_SIZE, MAGIC, read_frame
+from fedvib.proto.wire import (
+    HEADER_SIZE,
+    MAGIC,
+    MAX_NAME_LEN,
+    MSG_DELTA_SUBMISSION,
+    VERSION,
+    max_payload_size,
+    read_frame,
+)
 
 
 def _random_weights(rng, spec=(("a.W", (3, 2)), ("a.b", (4,)), ("out", (2, 2, 2)))):
@@ -411,6 +420,35 @@ def test_read_frame_partial_stream_errors():
     with pytest.raises(WireError):
         read_frame(reader_of(frame[:-2]))  # mid-payload
     assert read_frame(reader_of(b"")) is None
+
+
+def test_read_frame_bounds_payload_from_the_header():
+    weights = _random_weights(np.random.default_rng(16))
+    bound = max_payload_size(weights.tensors)
+    requested = []
+
+    def reader_of(data):
+        pos = [0]
+
+        def read(n):
+            requested.append(n)
+            chunk = data[pos[0]:pos[0] + n]
+            pos[0] += len(chunk)
+            return chunk
+        return read
+
+    # the largest legal frame, a delta under a maximal client id, fits exactly
+    largest = encode_frame(DeltaSubmission(
+        client_id="x" * MAX_NAME_LEN, round=0,
+        delta=WeightDelta(weights.tensors, base_round=0)))
+    assert len(largest) == HEADER_SIZE + bound
+    assert read_frame(reader_of(largest), bound) == largest
+
+    requested.clear()
+    header = MAGIC + struct.pack("<BBQ", VERSION, MSG_DELTA_SUBMISSION, 2**40)
+    with pytest.raises(WireError, match="limit"):
+        read_frame(reader_of(header + b"\0" * 64), bound)
+    assert max(requested) <= bound
 
 
 # -- privacy schema ----------------------------------------------------------
