@@ -1,12 +1,9 @@
-"""Timing harness for the LSTM recurrence kernels: compiled vs plain numpy.
+"""Timing harness for the LSTM recurrence kernels.
 
-Runs the forward and backward kernels on representative shapes with both
-implementations and prints per-call times and speedups.  Not collected by
-pytest; run directly:
+Runs the forward and backward kernels on representative shapes and prints
+the best per-call time of each.  Run directly:
 
     python benchmarks/bench_kernels.py [--repeat N] [--dtype float32]
-
-Set FEDVIB_DISABLE_NUMBA=1 to check the fallback path is what you measure.
 """
 
 import argparse
@@ -14,13 +11,7 @@ import time
 
 import numpy as np
 
-from fedvib.nn.kernels import (
-    USE_NUMBA,
-    lstm_backward,
-    lstm_backward_numpy,
-    lstm_forward,
-    lstm_forward_numpy,
-)
+from fedvib.nn.kernels import lstm_backward, lstm_forward
 
 SHAPES = [
     # (label, T, B, I, H)
@@ -47,46 +38,34 @@ def time_call(fn, args, repeat):
     return best
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5,
                         help="timed repetitions per case; best is reported")
     parser.add_argument("--dtype", choices=("float32", "float64"),
                         default="float32")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     dtype = np.dtype(args.dtype)
     rng = np.random.default_rng(args.seed)
-    mode = "numba" if USE_NUMBA else "numpy only (numba disabled)"
-    print(f"kernel mode: {mode}, dtype: {dtype.name}, repeat: {args.repeat}")
-    header = f"{'case':<30} {'pass':<8} {'numpy ms':>10} {'compiled ms':>12} {'speedup':>8}"
+    print(f"dtype: {dtype.name}, repeat: {args.repeat}")
+    header = f"{'case':<30} {'pass':<8} {'ms':>10}"
     print(header)
     print("-" * len(header))
 
     for label, T, B, I, H in SHAPES:
         x, W, U, b = make_case(rng, T, B, I, H, dtype)
-        # warm-up triggers compilation and keeps cache effects out of timings
+        # warm-up keeps first-call and cache effects out of the timings
         h, c, gates = lstm_forward(x, W, U, b)
-        lstm_forward_numpy(x, W, U, b)
         d_h = rng.normal(size=h.shape).astype(dtype)
-        lstm_backward(x, W, U, h, c, gates, d_h)
-        lstm_backward_numpy(x, W, U, h, c, gates, d_h)
-
-        t_np = time_call(lstm_forward_numpy, (x, W, U, b), args.repeat)
-        t_jit = time_call(lstm_forward, (x, W, U, b), args.repeat)
-        print(f"{label:<30} {'forward':<8} {t_np * 1e3:>10.2f} "
-              f"{t_jit * 1e3:>12.2f} {t_np / t_jit:>7.1f}x")
-
         bw_args = (x, W, U, h, c, gates, d_h)
-        t_np = time_call(lstm_backward_numpy, bw_args, args.repeat)
-        t_jit = time_call(lstm_backward, bw_args, args.repeat)
-        print(f"{label:<30} {'backward':<8} {t_np * 1e3:>10.2f} "
-              f"{t_jit * 1e3:>12.2f} {t_np / t_jit:>7.1f}x")
+        lstm_backward(*bw_args)
 
-    if not USE_NUMBA:
-        print("note: compiled column equals the numpy path while "
-              "FEDVIB_DISABLE_NUMBA=1")
+        for name, fn, fn_args in (("forward", lstm_forward, (x, W, U, b)),
+                                  ("backward", lstm_backward, bw_args)):
+            t = time_call(fn, fn_args, args.repeat)
+            print(f"{label:<30} {name:<8} {t * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

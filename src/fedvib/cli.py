@@ -23,16 +23,16 @@ from pathlib import Path
 from .data import (
     IMS_FILENAME_RE,
     SynthConfig,
-    chronological_split,
     generate_synthetic,
     load_csv_dataset,
     save_csv_dataset,
-    windows_for_batches,
 )
 from .errors import FedvibError, RoundAbortError
 from .harness import (
+    DatasetSpec,
     export_results,
     load_config,
+    prepare_node,
     run_experiment,
     save_model_checkpoint,
     sweep_hyperparameters,
@@ -124,11 +124,9 @@ def cmd_aggregate(args):
 # -- train --------------------------------------------------------------------
 
 def cmd_train(args):
-    dataset = load_csv_dataset(args.data)
-    train_b, val_b, test_b = chronological_split(dataset)
-    train_w, _ = windows_for_batches(train_b, args.window)
-    val_w, _ = windows_for_batches(val_b, args.window)
-    acfg = AutoencoderConfig(feature_count=dataset.feature_count,
+    setup = prepare_node(DatasetSpec(id=args.id, kind="csv", path=args.data),
+                         args.window)
+    acfg = AutoencoderConfig(feature_count=setup.dataset.feature_count,
                              window_size=args.window,
                              outer_layer_sizes=args.outer,
                              encoding_size=args.encoding)
@@ -140,8 +138,8 @@ def cmd_train(args):
                            epochs_per_round=args.epochs_per_round,
                            threshold_delta=args.delta, seed=args.seed,
                            persist_optimizer=args.persist_optimizer),
-        train_w, val_w, test_batches=test_b,
-        test_offset=len(train_b) + len(val_b))
+        setup.train_windows, setup.val_windows,
+        test_batches=setup.test_batches, test_offset=setup.test_offset)
     host, port = args.aggregator
     endpoint = connect_socket(host, port)
     try:

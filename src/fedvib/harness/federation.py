@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data import chronological_split, windows_for_batches
-from ..errors import ConfigError
+from ..errors import ConfigError, RoundAbortError
 from ..model import build_autoencoder
 from ..proto import (
     AggregationNode,
@@ -113,8 +113,9 @@ def run_federation(setups, config, window_schedules=None):
 
     ``window_schedules`` optionally maps node id to a callable
     ``round_index -> max training windows`` (the cold-start ramp); absent
-    entries train on everything.  Returns a :class:`FederationResult`; any
-    participant failure is re-raised in the calling thread.
+    entries train on everything.  Returns a :class:`FederationResult`.  A
+    failure is re-raised in the calling thread unchanged: the first node
+    error that is not a round abort, else the aggregator's.
     """
     acfg = config.autoencoder
     init = build_autoencoder(acfg, seed=config.seed).weights_dict()
@@ -157,7 +158,7 @@ def run_federation(setups, config, window_schedules=None):
             endpoints[setup.node_id] = ep
             results[setup.node_id] = node.run(ep)
         except Exception as e:  # re-raised after join
-            failures.append((setup.node_id, e))
+            failures.append(e)
 
     threads = [threading.Thread(target=worker, args=(i, s), daemon=True)
                for i, s in enumerate(setups)]
@@ -168,9 +169,12 @@ def run_federation(setups, config, window_schedules=None):
     finally:
         for t in threads:
             t.join(timeout=ROUND_TIMEOUT_S)
+        # a node's own failure outranks the round aborts that follow from it
+        causes = [e for e in failures if not isinstance(e, RoundAbortError)]
+        if causes:
+            raise causes[0]
     if failures:
-        cid, err = failures[0]
-        raise RuntimeError(f"node {cid!r} failed: {err}") from err
+        raise failures[0]
 
     return FederationResult(
         records=records,

@@ -1,6 +1,5 @@
 """From-scratch neural network core: LSTM/dense layers, losses, Adam."""
 
-from .kernels import USE_NUMBA
 from .layers import DenseLayer, LstmLayer, glorot_uniform
 from .ops import (
     apply_weight_delta,
@@ -15,6 +14,9 @@ from .ops import (
     weight_delta,
 )
 from .optim import AdamState, TrainConfig, adam_step
+
+# Read by perfbench/run.py for its kernel_mode stamp; the kernels are numpy.
+USE_NUMBA = False
 
 __all__ = [
     "USE_NUMBA",

@@ -1,29 +1,17 @@
 """Hot recurrence kernels for the LSTM forward and backward passes.
 
 The time loop is inherently sequential, so these are the compute bottleneck of
-the whole package.  Each kernel exists twice from a single source body:
-
-* ``lstm_forward`` / ``lstm_backward`` -- numba ``@njit`` compiled when numba
-  is importable and ``FEDVIB_DISABLE_NUMBA`` is not set to ``1``;
-* ``lstm_forward_numpy`` / ``lstm_backward_numpy`` -- the uncompiled bodies,
-  always available (used as the fallback path and by the parity benchmark).
+the whole package.  Each step is a handful of small numpy calls, so on the
+narrow layers (3->4, 4->2) per-call overhead, not arithmetic, sets the time.
 
 Array conventions: sequences are ``[T, B, *]`` C-contiguous, gate order along
 the stacked weight rows is input | forget | cell | output.  Kernels are dtype
-generic (float32 in production, float64 for gradient checking); constants are
-built with ``ones_like`` so numba does not promote float32 math to float64.
+generic (float32 in production, float64 for gradient checking).  The ``one``
+constants are arrays, not Python scalars: as an operand an array is faster by
+about 0.4 us per op, which those call-bound shapes feel.
 """
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("FEDVIB_DISABLE_NUMBA", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # numba comes with the optional [jit] extra
-        USE_NUMBA = False
 
 
 def _sigmoid(z):
@@ -33,7 +21,7 @@ def _sigmoid(z):
     return np.where(z >= 0, one / (one + e), e / (one + e))
 
 
-def _lstm_forward_impl(x, W, U, b):
+def lstm_forward(x, W, U, b):
     """Run the recurrence over a [T, B, I] input.
 
     Returns (h, c, gates): hidden and cell state sequences [T, B, H] and the
@@ -70,7 +58,7 @@ def _lstm_forward_impl(x, W, U, b):
     return h, c, gates
 
 
-def _lstm_backward_impl(x, W, U, h, c, gates, d_h):
+def lstm_backward(x, W, U, h, c, gates, d_h):
     """Backpropagate through time.
 
     ``d_h`` is the loss gradient w.r.t. every hidden output [T, B, H] (zero
@@ -107,6 +95,8 @@ def _lstm_backward_impl(x, W, U, h, c, gates, d_h):
         dz[:, 2 * H:3 * H] = dc * gi * (one - gg * gg)
         dz[:, 3 * H:4 * H] = dh * tc * go * (one - go)
 
+        # A copy, not a view: with the view BLAS rounds dW/dU differently
+        # (on 3->128 and the C5 shapes at B=64), changing every trained model.
         dzT = dz.T.copy()
         dW += np.dot(dzT, x[t])
         dU += np.dot(dzT, np.ascontiguousarray(h_prev))
@@ -115,15 +105,3 @@ def _lstm_backward_impl(x, W, U, h, c, gates, d_h):
         dc_next = dc * gf
         dx[t] = np.dot(dz, W)
     return dx, dW, dU, db
-
-
-lstm_forward_numpy = _lstm_forward_impl
-lstm_backward_numpy = _lstm_backward_impl
-
-if USE_NUMBA:
-    _sigmoid = njit(cache=True)(_sigmoid)
-    lstm_forward = njit(cache=True)(_lstm_forward_impl)
-    lstm_backward = njit(cache=True)(_lstm_backward_impl)
-else:
-    lstm_forward = _lstm_forward_impl
-    lstm_backward = _lstm_backward_impl

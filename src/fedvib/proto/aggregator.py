@@ -14,10 +14,10 @@ gets the current model at once and takes part from the next round; its
 delta for the in-flight round is acknowledged and discarded.  A client
 whose connection closes, breaks or fails a send leaves the registry.  The
 round aborts, with no partial aggregation, if a participant leaves before
-submitting, a delta is missing at the timeout, or a delta's tensor names or
-shapes differ from the global model's or it holds a non-finite value.  Every
-FedvibError leaving ``run`` first reaches each registered client as an
-ERR_ROUND_ABORT Error frame.
+submitting, a delta is missing at the timeout, a delta's tensor names or
+shapes differ from the global model's or it holds a non-finite value, or the
+new global model would hold one.  Every FedvibError leaving ``run`` first
+reaches each registered client as an ERR_ROUND_ABORT Error frame.
 """
 
 import queue
@@ -100,6 +100,10 @@ class RoundState:
                                 f"missing {self.missing}")
         ordered = [self.received[cid] for cid in sorted(self.received)]
         new_global = apply_delta(self.global_weights, fedavg(ordered))
+        try:  # finite deltas can still overflow float32 when applied
+            check_finite(new_global.tensors, context="the new global model")
+        except NumericsError as e:
+            raise RoundAbortError(f"round {self.round}: {e}") from None
         self.status = "aggregated"
         return new_global
 

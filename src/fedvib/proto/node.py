@@ -106,6 +106,13 @@ class TrainingNode:
     test_offset: int = 0
 
     def run(self, endpoint):
+        # closed on every exit, so the aggregator sees a failing node leave
+        try:
+            return self._run(endpoint)
+        finally:
+            endpoint.close()
+
+    def _run(self, endpoint):
         cfg = self.config
         model = build_autoencoder(cfg.autoencoder, seed=cfg.seed)
         endpoint.max_payload = max_payload_size(model.param_refs())
@@ -174,7 +181,6 @@ class TrainingNode:
         verdicts = score_batches(model, self.test_batches, self.test_offset,
                                  final_threshold, cfg.autoencoder.window_size,
                                  cfg.score_mode)
-        endpoint.close()
         return NodeResult(client_id=cfg.client_id, round_stats=stats,
                           verdicts=verdicts,
                           final_weights=ModelWeights(model.weights_dict()),

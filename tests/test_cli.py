@@ -135,6 +135,16 @@ def test_aggregate_and_train_commands_over_sockets(tmp_path, capsys):
     assert weights.parameter_count > 0
 
 
+def test_train_rejects_a_window_longer_than_every_batch(tmp_path, capsys):
+    data = write_dataset(tmp_path / "node", seed=23)
+    capsys.readouterr()
+    # nobody listens on the port: the data check must fail before connecting
+    assert main(["train", "--aggregator", f"127.0.0.1:{free_port()}",
+                 "--data", str(data), "--id", "node", "--rounds", "1",
+                 "--window", "1000"]) == 1
+    assert "no training windows" in capsys.readouterr().err
+
+
 def test_aggregate_rejects_bad_listen_address():
     with pytest.raises(SystemExit):
         main(["aggregate", "--listen", "nonsense", "--clients", "1",

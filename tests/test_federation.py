@@ -462,6 +462,34 @@ def test_second_register_on_a_connection_is_refused():
     assert box["records"][1].client_ids == ["a", "b"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_overflowing_global_model_is_never_broadcast():
+    hub = InProcessHub()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=3,
+                          registration_timeout_s=5.0, round_timeout_s=5.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+
+    def submit_max(r):
+        # finite deltas whose sum with the float32 global model overflows
+        for cid, ep in eps.items():
+            tensors = {k: np.full_like(v, np.finfo(np.float32).max)
+                       for k, v in models[cid].weights.tensors.items()}
+            ep.send(DeltaSubmission(cid, r, WeightDelta(tensors, base_round=r)))
+        return {cid: ep.recv(timeout=5.0) for cid, ep in eps.items()}
+
+    models = submit_max(0)
+    for m in models.values():
+        assert isinstance(m, GlobalModel) and m.round == 1
+        assert all(np.isfinite(v).all() for v in m.weights.tensors.values())
+    for err in submit_max(1).values():
+        assert isinstance(err, Error) and err.code == ERR_ROUND_ABORT, err
+        assert "round 1" in err.text
+    t.join(timeout=10.0)
+    assert isinstance(box.get("error"), RoundAbortError)
+    assert len(agg.records) == 1
+
+
 def test_registration_timeout_tells_registered_clients():
     hub = InProcessHub()
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,

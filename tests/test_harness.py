@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedvib.data import SynthConfig, generate_synthetic
-from fedvib.errors import ConfigError, IngestionError, WireError
+from fedvib.errors import ConfigError, IngestionError, ShapeError, WireError
 from fedvib.harness import (
     DatasetSpec,
     ExperimentConfig,
@@ -23,6 +23,7 @@ from fedvib.harness import (
     run_centralized,
     run_cold_start,
     run_experiment,
+    run_federation,
     run_historical,
     run_knowledge_transfer,
     sample_grid,
@@ -122,6 +123,16 @@ def test_feature_count_mismatch_is_rejected_before_launch():
     cfg = dataclasses.replace(cfg, nodes=[bad, cfg.nodes[1]])
     with pytest.raises(ConfigError, match="features"):
         run_historical(cfg)
+
+
+def test_failing_node_ends_the_federation_with_its_own_error(monkeypatch):
+    # m1 trains on zero windows, so train_epochs raises; its departure must
+    # abort the round at once instead of at the round timeout
+    monkeypatch.setattr("fedvib.harness.federation.ROUND_TIMEOUT_S", 30.0)
+    cfg = make_config(rounds=2)
+    setups = [prepare_node(spec, ACFG.window_size) for spec in cfg.nodes]
+    with pytest.raises(ShapeError, match="zero windows"):
+        run_federation(setups, cfg, window_schedules={"m1": lambda r: 0})
 
 
 # -- cold-start scenario ------------------------------------------------------

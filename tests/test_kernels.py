@@ -1,9 +1,15 @@
-"""Kernel-level checks: both execution paths agree and handle both dtypes."""
+"""Kernel-level checks on the LSTM recurrence: shapes, both dtypes,
+determinism, and the timing harness in ``benchmarks/`` that calls it."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedvib.nn import kernels
+
+BENCH_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
 
 
 def _random_problem(dtype, T=6, B=3, I=2, H=4, seed=1):
@@ -30,19 +36,6 @@ def test_forward_shapes_and_dtype(dtype):
     assert gates[:, :, 2 * H:3 * H].min() >= -1 and gates[:, :, 2 * H:3 * H].max() <= 1
 
 
-@pytest.mark.skipif(not kernels.USE_NUMBA, reason="numba path disabled")
-def test_compiled_and_plain_paths_agree():
-    x, W, U, b, d_h = _random_problem(np.float32)
-    h1, c1, g1 = kernels.lstm_forward(x, W, U, b)
-    h2, c2, g2 = kernels.lstm_forward_numpy(x, W, U, b)
-    np.testing.assert_allclose(h1, h2, rtol=1e-6, atol=1e-7)
-    np.testing.assert_allclose(c1, c2, rtol=1e-6, atol=1e-7)
-    out1 = kernels.lstm_backward(x, W, U, h1, c1, g1, d_h)
-    out2 = kernels.lstm_backward_numpy(x, W, U, h2, c2, g2, d_h)
-    for a, b_ in zip(out1, out2):
-        np.testing.assert_allclose(a, b_, rtol=1e-5, atol=1e-6)
-
-
 def test_float32_tracks_float64():
     x, W, U, b, d_h = _random_problem(np.float32)
     h32, _, _ = kernels.lstm_forward(x, W, U, b)
@@ -63,3 +56,14 @@ def test_backward_zero_upstream_gives_zero_grads():
     h, c, g = kernels.lstm_forward(x, W, U, b)
     dx, dW, dU, db = kernels.lstm_backward(x, W, U, h, c, g, np.zeros_like(d_h))
     assert not dx.any() and not dW.any() and not dU.any() and not db.any()
+
+
+def test_kernel_bench_prints_every_shape_and_pass(capsys):
+    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH_KERNELS)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.main(["--repeat", "1"])
+    rows = capsys.readouterr().out.splitlines()[3:]  # after the header
+    assert [(row[:30].rstrip(), row.split()[-2]) for row in rows] == [
+        (label, name) for label, *_ in bench.SHAPES
+        for name in ("forward", "backward")]
