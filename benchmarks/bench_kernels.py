@@ -13,11 +13,17 @@ import numpy as np
 
 from fedvib.nn.kernels import lstm_backward, lstm_forward
 
+# Layer shapes the perfbench workloads run: the encoder layers of the C5 model
+# (3->4, 4->2) and of the wide model (3->128, 128->16), in training minibatches
+# of 64 and scoring batches of 8.
 SHAPES = [
     # (label, T, B, I, H)
-    ("small  (t=20,  b=16, 1->8)", 20, 16, 1, 8),
-    ("window (t=100, b=64, 3->32)", 100, 64, 3, 32),
-    ("wide   (t=100, b=64, 3->128)", 100, 64, 3, 128),
+    ("3->4    (t=100, b=64)", 100, 64, 3, 4),
+    ("3->4    (t=100, b=8)", 100, 8, 3, 4),
+    ("4->2    (t=100, b=64)", 100, 64, 4, 2),
+    ("3->128  (t=100, b=64)", 100, 64, 3, 128),
+    ("3->128  (t=100, b=8)", 100, 8, 3, 128),
+    ("128->16 (t=100, b=64)", 100, 64, 128, 16),
 ]
 
 

@@ -96,12 +96,17 @@ def weight_delta(new, base):
 
 
 def apply_weight_delta(base, delta):
-    """``base + delta`` per array, added in float64, rounded to base dtype."""
+    """``base + delta`` per array, added in float64, rounded to base dtype.
+
+    A finite sum beyond the base dtype's range rounds to infinity without a
+    warning; callers reject the result with ``check_finite``.
+    """
     check_layout(base, delta)
     out = {}
     for k in base:
         s = base[k].astype(np.float64) + delta[k].astype(np.float64)
-        out[k] = s.astype(base[k].dtype)
+        with np.errstate(over="ignore"):
+            out[k] = s.astype(base[k].dtype)
     return out
 
 

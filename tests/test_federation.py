@@ -462,7 +462,7 @@ def test_second_register_on_a_connection_is_refused():
     assert box["records"][1].client_ids == ["a", "b"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_global_model_is_never_broadcast():
     hub = InProcessHub()
     agg = AggregationNode(global_init(), expected_clients=2, rounds=3,
