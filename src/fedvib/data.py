@@ -75,33 +75,15 @@ class Dataset:
 
 # -- windowing ---------------------------------------------------------------
 
-@dataclass
-class Window:
-    """One non-overlapping model input slice cut from a batch."""
-
-    values: np.ndarray  # [window_size, feature_count]
-    batch_index: int
-    offset: int
-
-
-def make_windows(batch, window_size, batch_index=0):
-    """Non-overlapping windows; the trailing remainder is dropped."""
-    if window_size < 1:
-        raise ConfigError(f"window_size must be >= 1, got {window_size}")
-    n = batch.samples.shape[0] // window_size
-    return [
-        Window(values=batch.samples[i * window_size:(i + 1) * window_size],
-               batch_index=batch_index, offset=i * window_size)
-        for i in range(n)
-    ]
-
-
 def windows_for_batches(batches, window_size):
     """Stack all windows of a batch list.
 
     Returns (windows [N, window_size, F] float32, owner_index [N] int) where
     owner_index maps each window back to its position in ``batches``.
+    Windows do not overlap; each batch's trailing remainder is dropped.
     """
+    if window_size < 1:
+        raise ConfigError(f"window_size must be >= 1, got {window_size}")
     chunks = []
     owners = []
     feature_count = batches[0].feature_count if batches else 0
@@ -243,18 +225,6 @@ def bearing_column(n_columns, bearing):
     if bearing not in cols:
         raise ConfigError(f"bearing must be 1..4, got {bearing}")
     return cols[bearing]
-
-
-def load_ims_batch(path, sampling_rate_hz=IMS_SAMPLING_RATE_HZ):
-    """Load one IMS file as a list of single-channel batches, one per column."""
-    table = _parse_numeric_table(path)
-    ts = ims_timestamp(path)
-    return [
-        VibrationBatch(timestamp=ts,
-                       samples=np.ascontiguousarray(table[:, c:c + 1], dtype=np.float32),
-                       sampling_rate_hz=sampling_rate_hz)
-        for c in range(table.shape[1])
-    ]
 
 
 def load_ims_dataset(directory, bearing, sampling_rate_hz=IMS_SAMPLING_RATE_HZ,

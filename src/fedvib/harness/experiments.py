@@ -22,7 +22,7 @@ from ..model import (
     window_scores,
 )
 from ..proto import GlobalModel, ModelWeights, decode_frame, encode_frame
-from .config import load_raw_dataset, preprocess_dataset
+from .config import resolve_dataset
 from .federation import prepare_node, run_federation
 
 TRANSFER_CALIBRATION_FRACTION = 0.10
@@ -187,7 +187,7 @@ def run_knowledge_transfer(config, target_spec=None):
         raise ConfigError("knowledge transfer needs a target dataset spec")
     source = _run_federated_scenario(config, "knowledge_transfer")
 
-    target = preprocess_dataset(load_raw_dataset(target_spec), target_spec)
+    target = resolve_dataset(target_spec)
     acfg = config.autoencoder
     if target.feature_count != acfg.feature_count:
         raise ConfigError(f"transfer target {target_spec.id!r} has "

@@ -23,7 +23,7 @@ from ..proto import (
     connect_socket,
     serve_sockets,
 )
-from .config import dataset_bytes, load_raw_dataset, preprocess_dataset
+from .config import TRANSPORTS, dataset_bytes, load_raw_dataset, preprocess_dataset
 
 REGISTRATION_TIMEOUT_S = 120.0
 ROUND_TIMEOUT_S = 1800.0
@@ -108,60 +108,38 @@ def merge_round_reports(records, node_results):
     return reports
 
 
-def run_federation(setups, config, window_schedules=None):
-    """Run one complete federation over the prepared node setups.
+def run_nodes(agg, nodes, transport):
+    """Serve ``agg`` in the calling thread and run each built
+    :class:`TrainingNode` in a worker thread, over ``transport`` (one of
+    ``TRANSPORTS``).
 
-    ``window_schedules`` optionally maps node id to a callable
-    ``round_index -> max training windows`` (the cold-start ramp); absent
-    entries train on everything.  Returns a :class:`FederationResult`.  A
-    failure is re-raised in the calling thread unchanged: the first node
+    Returns ``(records, results)``: the aggregator's round records and the
+    node results by client id, in node order.  Every worker is joined before
+    this returns or raises.  A failure is re-raised unchanged: the first node
     error that is not a round abort, else the aggregator's.
     """
-    acfg = config.autoencoder
-    init = build_autoencoder(acfg, seed=config.seed).weights_dict()
-    agg = AggregationNode(ModelWeights(init),
-                          expected_clients=len(setups),
-                          rounds=config.rounds,
-                          registration_timeout_s=REGISTRATION_TIMEOUT_S,
-                          round_timeout_s=ROUND_TIMEOUT_S)
-
-    if config.transport == "sockets":
+    if transport == "sockets":
         listener = serve_sockets()
         port = listener.port
 
         def connect():
             return connect_socket("127.0.0.1", port)
-    else:
+    elif transport == "in_process":
         listener = InProcessHub()
         connect = listener.connect
+    else:
+        raise ConfigError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
 
-    results, endpoints, failures = {}, {}, []
+    results, failures = [None] * len(nodes), []
 
-    def worker(index, setup):
+    def work(index, node):
         try:
-            schedule = (window_schedules or {}).get(setup.node_id)
-            node = TrainingNode(
-                TrainingNodeConfig(
-                    client_id=setup.node_id, autoencoder=acfg,
-                    train=config.train, rounds=config.rounds,
-                    epochs_per_round=config.epochs_per_round,
-                    threshold_delta=config.delta,
-                    threshold_mode=config.threshold_mode,
-                    score_mode=config.score_mode,
-                    seed=config.seed + index,
-                    recv_timeout_s=ROUND_TIMEOUT_S,
-                    window_schedule=schedule),
-                setup.train_windows, setup.val_windows,
-                test_batches=setup.test_batches,
-                test_offset=setup.test_offset)
-            ep = connect()
-            endpoints[setup.node_id] = ep
-            results[setup.node_id] = node.run(ep)
+            results[index] = node.run(connect())
         except Exception as e:  # re-raised after join
             failures.append(e)
 
-    threads = [threading.Thread(target=worker, args=(i, s), daemon=True)
-               for i, s in enumerate(setups)]
+    threads = [threading.Thread(target=work, args=(i, n), daemon=True)
+               for i, n in enumerate(nodes)]
     for t in threads:
         t.start()
     try:
@@ -175,11 +153,45 @@ def run_federation(setups, config, window_schedules=None):
             raise causes[0]
     if failures:
         raise failures[0]
+    return records, {res.client_id: res for res in results}
 
+
+def run_federation(setups, config, window_schedules=None):
+    """Run one complete federation over the prepared node setups.
+
+    ``window_schedules`` optionally maps node id to a callable
+    ``round_index -> max training windows`` (the cold-start ramp); absent
+    entries train on everything.  Returns a :class:`FederationResult`; a
+    failure is re-raised as :func:`run_nodes` describes.
+    """
+    acfg = config.autoencoder
+    init = build_autoencoder(acfg, seed=config.seed).weights_dict()
+    agg = AggregationNode(ModelWeights(init),
+                          expected_clients=len(setups),
+                          rounds=config.rounds,
+                          registration_timeout_s=REGISTRATION_TIMEOUT_S,
+                          round_timeout_s=ROUND_TIMEOUT_S)
+    nodes = [
+        TrainingNode(
+            TrainingNodeConfig(
+                client_id=setup.node_id, autoencoder=acfg,
+                train=config.train, rounds=config.rounds,
+                epochs_per_round=config.epochs_per_round,
+                threshold_delta=config.delta,
+                threshold_mode=config.threshold_mode,
+                score_mode=config.score_mode,
+                seed=config.seed + index,
+                recv_timeout_s=ROUND_TIMEOUT_S,
+                window_schedule=(window_schedules or {}).get(setup.node_id)),
+            setup.train_windows, setup.val_windows,
+            test_batches=setup.test_batches,
+            test_offset=setup.test_offset)
+        for index, setup in enumerate(setups)]
+    records, results = run_nodes(agg, nodes, config.transport)
     return FederationResult(
         records=records,
         round_reports=merge_round_reports(records, results),
         node_results=results,
         global_weights=agg.global_weights,
-        bytes_by_node={cid: (ep.bytes_sent, ep.bytes_received)
-                       for cid, ep in endpoints.items()})
+        bytes_by_node={cid: (res.bytes_sent, res.bytes_received)
+                       for cid, res in results.items()})

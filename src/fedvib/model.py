@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import windows_for_batches
 from .errors import ConfigError, ShapeError
 from .nn import (
     AdamState,
@@ -314,11 +315,6 @@ def evaluate_loss(model, windows, chunk=256):
 
 # -- reconstruction error and thresholding -----------------------------------
 
-def reconstruction_error(window, recon):
-    """Mean squared sample-wise deviation for one window (both [T, F])."""
-    return mse_loss(window, recon)
-
-
 def window_scores(model, windows, chunk=256):
     """Per-window reconstruction errors, [N] float64."""
     windows = np.ascontiguousarray(windows, dtype=model.dtype)
@@ -389,10 +385,9 @@ def score_batches(model, batches, offset, threshold, window_size, score_mode="me
     """Score whole batches with a fitted model and a fixed threshold."""
     verdicts = []
     for i, batch in enumerate(batches):
-        n = batch.samples.shape[0] // window_size
-        if n == 0:
+        ws, _ = windows_for_batches([batch], window_size)
+        if len(ws) == 0:
             continue
-        ws = batch.samples[:n * window_size].reshape(n, window_size, batch.feature_count)
         score = batch_anomaly_score(window_scores(model, ws), mode=score_mode)
         verdicts.append(AnomalyVerdict(
             batch_index=offset + i, timestamp=batch.timestamp, score=score,

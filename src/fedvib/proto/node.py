@@ -88,6 +88,8 @@ class NodeResult:
     final_threshold: ThresholdModel
     untrained: bool = False
     deltas_sent: int = 0
+    bytes_sent: int = 0          # frame bytes on the node's endpoint
+    bytes_received: int = 0
 
 
 @dataclass
@@ -186,7 +188,9 @@ class TrainingNode:
                           final_weights=ModelWeights(model.weights_dict()),
                           final_threshold=final_threshold,
                           untrained=not trained_any,
-                          deltas_sent=deltas_sent)
+                          deltas_sent=deltas_sent,
+                          bytes_sent=endpoint.bytes_sent,
+                          bytes_received=endpoint.bytes_received)
 
     def _calibrate(self, scores):
         return ThresholdModel.calibrate(scores, delta=self.config.threshold_delta,

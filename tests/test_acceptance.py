@@ -10,7 +10,6 @@ and skip unless FEDVIB_IMS_DIR points at an extracted copy (see
 import itertools
 import os
 import struct
-import threading
 import time
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from fedvib.harness import (
     run_cold_start,
     run_historical,
     run_knowledge_transfer,
+    run_nodes,
 )
 from fedvib.harness.config import resolve_dataset
 from fedvib.harness.experiments import score_batches
@@ -39,7 +39,6 @@ from fedvib.nn import TrainConfig
 from fedvib.proto import (
     AggregationNode,
     GlobalModel,
-    InProcessHub,
     ModelWeights,
     TrainingNode,
     TrainingNodeConfig,
@@ -94,7 +93,6 @@ def test_c2_single_client_federation_equivalence():
     rounds = 5
 
     init = build_autoencoder(acfg, seed=42).weights_dict()
-    hub = InProcessHub()
     agg = AggregationNode(ModelWeights(init), expected_clients=1, rounds=rounds,
                           registration_timeout_s=30.0, round_timeout_s=60.0)
     node = TrainingNode(
@@ -102,12 +100,8 @@ def test_c2_single_client_federation_equivalence():
                            rounds=rounds, epochs_per_round=1, seed=9,
                            persist_optimizer=True, recv_timeout_s=60.0),
         train_w, val_w)
-    out = {}
-    worker = threading.Thread(target=lambda: out.update(res=node.run(hub.connect())))
-    worker.start()
-    agg.run(hub)
-    worker.join(timeout=60)
-    federated = out["res"].final_weights.tensors
+    _, results = run_nodes(agg, [node], "in_process")
+    federated = results["solo"].final_weights.tensors
 
     local = build_autoencoder(acfg, seed=42)
     train_epochs(local, train_w, tcfg, rounds, val_windows=val_w, seed=9)

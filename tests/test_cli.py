@@ -145,6 +145,16 @@ def test_train_rejects_a_window_longer_than_every_batch(tmp_path, capsys):
     assert "no training windows" in capsys.readouterr().err
 
 
+def test_train_rejects_a_window_below_one(tmp_path, capsys):
+    data = write_dataset(tmp_path / "node", seed=23)
+    for window in ("0", "-5"):
+        capsys.readouterr()
+        assert main(["train", "--aggregator", f"127.0.0.1:{free_port()}",
+                     "--data", str(data), "--id", "node", "--rounds", "1",
+                     "--window", window]) == 1
+        assert "error: window_size must be >= 1" in capsys.readouterr().err
+
+
 def test_aggregate_rejects_bad_listen_address():
     with pytest.raises(SystemExit):
         main(["aggregate", "--listen", "nonsense", "--clients", "1",

@@ -16,9 +16,7 @@ from fedvib.data import (
     generate_synthetic,
     ims_timestamp,
     load_csv_dataset,
-    load_ims_batch,
     load_ims_dataset,
-    make_windows,
     save_csv_dataset,
     split_counts,
     standardize_dataset,
@@ -63,22 +61,6 @@ def test_dataset_requires_increasing_timestamps_and_uniform_features():
 
 # -- windowing ---------------------------------------------------------------
 
-def test_make_windows_counts_and_remainder():
-    b = _batch(np.arange(800, dtype=np.float32).reshape(800, 1))
-    ws = make_windows(b, 100)
-    assert len(ws) == 8
-    assert all(w.values.shape == (100, 1) for w in ws)
-    assert ws[3].offset == 300
-    # exact length -> one window; shorter -> none; remainder dropped
-    assert len(make_windows(_batch(np.zeros((100, 1))), 100)) == 1
-    assert len(make_windows(_batch(np.zeros((99, 1))), 100)) == 0
-    ws = make_windows(_batch(np.arange(250, dtype=np.float32).reshape(250, 1)), 100)
-    assert len(ws) == 2
-    assert float(ws[1].values[-1, 0]) == 199.0
-    with pytest.raises(ConfigError):
-        make_windows(b, 0)
-
-
 def test_windows_for_batches_stacks_and_tracks_owners():
     batches = [
         _batch(np.arange(250, dtype=np.float32).reshape(250, 1), ts=0.0),
@@ -90,8 +72,19 @@ def test_windows_for_batches_stacks_and_tracks_owners():
     assert windows.dtype == np.float32
     assert owners.tolist() == [0, 0, 2]
     assert float(windows[2, 0, 0]) == 1000.0
+    # the remainder is dropped: 250 samples give samples 0..199
+    assert float(windows[1, -1, 0]) == 199.0
+    windows, _ = windows_for_batches(
+        [_batch(np.arange(800, dtype=np.float32).reshape(800, 1))], 100)
+    assert windows.shape == (8, 100, 1) and float(windows[3, 0, 0]) == 300.0
+    # exact length -> one window; shorter -> none
+    assert len(windows_for_batches([_batch(np.zeros((100, 1)))], 100)[0]) == 1
+    assert len(windows_for_batches([_batch(np.zeros((99, 1)))], 100)[0]) == 0
     empty, owners = windows_for_batches([], 100)
     assert empty.shape == (0, 100, 0) and owners.size == 0
+    for bad in (0, -5):
+        with pytest.raises(ConfigError, match="window_size"):
+            windows_for_batches(batches, bad)
 
 
 # -- resampling --------------------------------------------------------------
@@ -208,16 +201,6 @@ def test_bearing_column_both_layouts():
         bearing_column(8, 0)
 
 
-def test_load_ims_batch_splits_columns(tmp_path):
-    table = np.arange(24, dtype=np.float64).reshape(3, 8) / 10.0
-    _write_ims_file(tmp_path, "2004.02.12.10.32.39", table)
-    batches = load_ims_batch(tmp_path / "2004.02.12.10.32.39")
-    assert len(batches) == 8
-    assert all(b.samples.shape == (3, 1) for b in batches)
-    assert all(b.timestamp == 1076581959.0 for b in batches)
-    assert np.allclose(batches[2].samples[:, 0], [0.2, 1.0, 1.8])
-
-
 def test_load_ims_dataset_selects_bearing_channel(tmp_path):
     names = ["2004.02.12.10.32.39", "2004.02.12.10.42.39", "2004.02.12.10.52.39"]
     for k, name in enumerate(names):
@@ -246,19 +229,19 @@ def test_ims_parse_errors_carry_path_and_line(tmp_path):
     p = tmp_path / "2004.02.12.10.32.39"
     p.write_text("0.1\t0.2\n0.3\t0.4\n0.5\toops\n")
     with pytest.raises(IngestionError) as err:
-        load_ims_batch(p)
+        load_ims_dataset(tmp_path, bearing=1)
     assert "oops" in str(err.value)
     assert ":3:" in str(err.value)
 
     p.write_text("0.1\t0.2\n0.3\n")
     with pytest.raises(IngestionError) as err:
-        load_ims_batch(p)
+        load_ims_dataset(tmp_path, bearing=1)
     assert ":2:" in str(err.value)
     assert "columns" in str(err.value)
 
     p.write_text("")
     with pytest.raises(IngestionError) as err:
-        load_ims_batch(p)
+        load_ims_dataset(tmp_path, bearing=1)
     assert "empty" in str(err.value)
 
 

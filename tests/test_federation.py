@@ -14,7 +14,15 @@ from fedvib.data import (
     generate_synthetic,
     windows_for_batches,
 )
-from fedvib.errors import ConfigError, ProtocolError, RoundAbortError, TransportError
+from fedvib.errors import (
+    ConfigError,
+    ProtocolError,
+    RoundAbortError,
+    ShapeError,
+    TransportError,
+)
+from fedvib.harness import run_nodes
+from fedvib.harness.config import TRANSPORTS
 from fedvib.model import (
     AutoencoderConfig,
     LstmAutoencoder,
@@ -70,57 +78,33 @@ def node_data(seed, n_batches=8, batch_len=60):
     return trw, vaw, test, len(train) + len(val)
 
 
+def make_node(cid, seed, rounds, n_batches=8, node_cls=TrainingNode, **config):
+    trw, vaw, test, offset = node_data(seed, n_batches=n_batches)
+    return node_cls(
+        TrainingNodeConfig(client_id=cid, autoencoder=ACFG, train=TCFG,
+                           rounds=rounds, seed=seed, recv_timeout_s=60.0, **config),
+        trw, vaw, test_batches=test, test_offset=offset)
+
+
 def run_federation(seeds_by_id, rounds, epochs_per_round=1, persist=False,
-                   n_batches=8, transport="hub"):
-    """Run a complete in-process (or localhost-socket) federation; returns
-    (aggregator, records, results_by_id, client_endpoints_by_id)."""
+                   n_batches=8, transport="in_process"):
+    """Run a complete federation through the harness launcher; returns
+    (aggregator, records, results_by_id)."""
     agg = AggregationNode(global_init(), expected_clients=len(seeds_by_id),
                           rounds=rounds, registration_timeout_s=20.0,
                           round_timeout_s=120.0)
-    if transport == "hub":
-        listener = InProcessHub()
-        def connect():
-            return listener.connect()
-    else:
-        listener = serve_sockets()
-        port = listener.port
-        def connect():
-            return connect_socket("127.0.0.1", port)
-
-    results, endpoints, failures = {}, {}, []
-
-    def worker(cid, seed):
-        try:
-            trw, vaw, test, offset = node_data(seed, n_batches=n_batches)
-            node = TrainingNode(
-                TrainingNodeConfig(client_id=cid, autoencoder=ACFG, train=TCFG,
-                                   rounds=rounds, epochs_per_round=epochs_per_round,
-                                   persist_optimizer=persist, seed=seed,
-                                   recv_timeout_s=60.0),
-                trw, vaw, test_batches=test, test_offset=offset)
-            ep = connect()
-            endpoints[cid] = ep
-            results[cid] = node.run(ep)
-        except Exception as e:  # surfaced after join
-            failures.append((cid, e))
-
-    threads = [threading.Thread(target=worker, args=(cid, seed))
-               for cid, seed in seeds_by_id.items()]
-    for t in threads:
-        t.start()
-    records = agg.run(listener)
-    for t in threads:
-        t.join(timeout=60.0)
-    if failures:
-        raise failures[0][1]
-    return agg, records, results, endpoints
+    nodes = [make_node(cid, seed, rounds, n_batches=n_batches,
+                       epochs_per_round=epochs_per_round, persist_optimizer=persist)
+             for cid, seed in seeds_by_id.items()]
+    records, results = run_nodes(agg, nodes, transport)
+    return agg, records, results
 
 
 # -- full federations --------------------------------------------------------
 
 def test_federation_reaches_bitwise_consensus():
     seeds = {"n1": 1, "n2": 2, "n3": 3, "n4": 4}
-    agg, records, results, _ = run_federation(seeds, rounds=3)
+    agg, records, results = run_federation(seeds, rounds=3)
     assert len(records) == 3
     for rec in records:
         assert rec.client_ids == sorted(seeds)
@@ -138,7 +122,7 @@ def test_federation_reaches_bitwise_consensus():
 
 def test_federation_training_actually_reduces_loss():
     seeds = {"a": 5, "b": 6}
-    _, _, results, _ = run_federation(seeds, rounds=6)
+    _, _, results = run_federation(seeds, rounds=6)
     for res in results.values():
         losses = [s.train_loss for s in res.round_stats]
         assert losses[-1] < losses[0]
@@ -146,8 +130,8 @@ def test_federation_training_actually_reduces_loss():
 
 def test_round_traffic_constant_and_dataset_independent():
     seeds = {"n1": 1, "n2": 2}
-    _, small, _, _ = run_federation(seeds, rounds=3, n_batches=8)
-    _, large, _, _ = run_federation(seeds, rounds=3, n_batches=16)
+    _, small, _ = run_federation(seeds, rounds=3, n_batches=8)
+    _, large, _ = run_federation(seeds, rounds=3, n_batches=16)
     small_bytes = [(r.bytes_sent, r.bytes_received) for r in small]
     large_bytes = [(r.bytes_sent, r.bytes_received) for r in large]
     # identical per round despite twice the training data
@@ -158,17 +142,17 @@ def test_round_traffic_constant_and_dataset_independent():
 
 def test_byte_records_match_endpoint_totals_exactly():
     seeds = {"n1": 1, "n2": 2, "n3": 3}
-    _, records, _, endpoints = run_federation(seeds, rounds=2)
+    _, records, results = run_federation(seeds, rounds=2)
     down = sum(r.bytes_sent for r in records)
     up = sum(r.bytes_received for r in records)
-    assert down == sum(ep.bytes_received for ep in endpoints.values())
-    assert up == sum(ep.bytes_sent for ep in endpoints.values())
+    assert down == sum(res.bytes_received for res in results.values())
+    assert up == sum(res.bytes_sent for res in results.values())
 
 
 def test_single_client_federation_equals_local_training():
     rounds = 5
-    agg, records, results, _ = run_federation({"solo": 9}, rounds=rounds,
-                                              persist=True)
+    agg, records, results = run_federation({"solo": 9}, rounds=rounds,
+                                           persist=True)
     # reference: one uninterrupted local run from the same initial weights
     trw, vaw, _, _ = node_data(9)
     model = build_autoencoder(ACFG, seed=GLOBAL_SEED)
@@ -179,25 +163,56 @@ def test_single_client_federation_equals_local_training():
 
 def test_socket_federation_matches_in_process():
     seeds = {"n1": 1, "n2": 2}
-    _, hub_records, hub_results, _ = run_federation(seeds, rounds=2)
-    _, sock_records, sock_results, eps = run_federation(seeds, rounds=2,
-                                                        transport="socket")
+    _, hub_records, hub_results = run_federation(seeds, rounds=2)
+    _, sock_records, sock_results = run_federation(seeds, rounds=2,
+                                                   transport="sockets")
     assert len(sock_records) == 2
     for cid in seeds:
         assert sock_results[cid].final_weights == hub_results[cid].final_weights
     assert [(r.bytes_sent, r.bytes_received) for r in sock_records] == \
            [(r.bytes_sent, r.bytes_received) for r in hub_records]
     down = sum(r.bytes_sent for r in sock_records)
-    assert down == sum(ep.bytes_received for ep in eps.values())
+    assert down == sum(res.bytes_received for res in sock_results.values())
 
 
 def test_zero_round_federation_flags_untrained():
-    agg, records, results, _ = run_federation({"solo": 3}, rounds=0)
+    agg, records, results = run_federation({"solo": 3}, rounds=0)
     assert records == []
     res = results["solo"]
     assert res.untrained and res.deltas_sent == 0
     assert res.round_stats == []
     assert len(res.verdicts) > 0  # scored with the initial model, flagged
+
+
+class _LingeringNode(TrainingNode):
+    """Outlives its endpoint a little, so a launcher that does not wait for
+    its workers returns while this one still runs."""
+
+    def run(self, endpoint):
+        try:
+            return super().run(endpoint)
+        finally:
+            time.sleep(0.2)
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
+def test_no_thread_outlives_the_launcher(transport, failing):
+    before = set(threading.enumerate())
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=20.0, round_timeout_s=60.0)
+    # a window schedule of 0 makes n2's training raise in round 0
+    schedule = (lambda r: 0) if failing else None
+    nodes = [make_node("n1", 1, rounds=2, node_cls=_LingeringNode),
+             make_node("n2", 2, rounds=2, node_cls=_LingeringNode,
+                       window_schedule=schedule)]
+    if failing:
+        with pytest.raises(ShapeError, match="zero windows"):
+            run_nodes(agg, nodes, transport)
+    else:
+        _, results = run_nodes(agg, nodes, transport)
+        assert list(results) == ["n1", "n2"]
+    assert set(threading.enumerate()) - before == set()
 
 
 # -- scripted edge cases -----------------------------------------------------
@@ -718,7 +733,7 @@ def test_node_round_scores_each_validation_window_once(monkeypatch):
 
 def test_node_verdicts_equal_batch_scorer_on_final_model():
     seeds = {"n1": 1, "n2": 2}
-    _, _, results, _ = run_federation(seeds, rounds=2)
+    _, _, results = run_federation(seeds, rounds=2)
     for cid, seed in seeds.items():
         res = results[cid]
         _, vaw, test, offset = node_data(seed)

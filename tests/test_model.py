@@ -15,7 +15,6 @@ from fedvib.model import (
     count_parameters,
     evaluate_detection,
     evaluate_loss,
-    reconstruction_error,
     train_epochs,
     window_scores,
 )
@@ -223,18 +222,12 @@ def test_epoch_offset_continues_lr_schedule(tiny_config):
 
 # -- scores, thresholds, verdicts -------------------------------------------
 
-def test_reconstruction_error_known_value():
-    w = np.array([[1.0], [2.0], [3.0]], dtype=np.float32)
-    r = np.array([[1.0], [1.0], [1.0]], dtype=np.float32)
-    assert reconstruction_error(w, r) == pytest.approx(5.0 / 3.0)
-
-
 def test_window_scores_match_per_window_mse(tiny_model, tiny_config):
     x = sine_windows(6, tiny_config.window_size, 1, seed=9)
     scores = window_scores(tiny_model, x)
     recon = tiny_model.reconstruct(x)
     for i in range(len(x)):
-        assert scores[i] == pytest.approx(reconstruction_error(x[i], recon[i]), rel=1e-12)
+        assert scores[i] == pytest.approx(mse_loss(x[i], recon[i]), rel=1e-12)
     assert (scores >= 0).all()
 
 
