@@ -47,6 +47,7 @@ from .proto import (
     connect_socket,
     serve_sockets,
 )
+from .proto.aggregator import ROUND_TIMEOUT_S
 
 DEFAULT_IMS_URL = "https://phm-datasets.s3.amazonaws.com/NASA/4.+Bearings.zip"
 IMS_SET_DIRS = {1: "1st_test", 2: "2nd_test", 3: "3rd_test"}
@@ -97,13 +98,13 @@ def cmd_aggregate(args):
     acfg = AutoencoderConfig(feature_count=args.features, window_size=args.window,
                              outer_layer_sizes=args.outer, encoding_size=args.encoding)
     init = ModelWeights(build_autoencoder(acfg, seed=args.seed).weights_dict())
+    agg = AggregationNode(init, expected_clients=args.clients, rounds=args.rounds,
+                          registration_timeout_s=args.registration_timeout,
+                          round_timeout_s=args.round_timeout)
     host, port = args.listen
     listener = serve_sockets(host, port)
     print(f"aggregating on {host}:{listener.port} "
           f"({args.clients} clients, {args.rounds} rounds)")
-    agg = AggregationNode(init, expected_clients=args.clients, rounds=args.rounds,
-                          registration_timeout_s=args.registration_timeout,
-                          round_timeout_s=args.round_timeout)
     try:
         records = agg.run(listener)
     except RoundAbortError as e:
@@ -368,7 +369,7 @@ def build_parser():
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--registration-timeout", type=float, default=300.0)
-    p.add_argument("--round-timeout", type=float, default=3600.0)
+    p.add_argument("--round-timeout", type=float, default=ROUND_TIMEOUT_S)
     p.add_argument("--checkpoint", help="write the final global model here")
     _add_model_flags(p, with_features=True)
     p.set_defaults(func=cmd_aggregate)

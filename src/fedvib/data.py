@@ -137,38 +137,29 @@ def downsample_dataset(dataset, factor, method="mean"):
 
 # -- chronological split -----------------------------------------------------
 
-@dataclass
-class SplitSpec:
-    """Chronological split: first ``train_fraction`` of batches form the
-    training segment, of which the last ``val_fraction`` share becomes the
-    validation set; everything after the segment is test data."""
-
-    train_fraction: float = 0.70
-    val_fraction: float = 0.08
-
-    def __post_init__(self):
-        if not 0 < self.train_fraction < 1:
-            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if not 0 < self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+# The first TRAIN_FRACTION of a dataset's batches form its training segment,
+# of which the last VAL_FRACTION share becomes the validation set; every
+# batch after the segment is test data.
+TRAIN_FRACTION = 0.70
+VAL_FRACTION = 0.08
 
 
-def split_counts(n, spec=SplitSpec()):
+def split_counts(n):
     """(n_train, n_val, n_test) for ``n`` batches; the 1e-9 guards keep FP
     products like 0.7*10 from flooring an ulp low."""
     if n < 3:
         raise ConfigError(f"need at least 3 batches to split, got {n}")
-    segment = math.floor(n * spec.train_fraction + 1e-9)
-    n_val = math.ceil(segment * spec.val_fraction - 1e-9)
+    segment = math.floor(n * TRAIN_FRACTION + 1e-9)
+    n_val = math.ceil(segment * VAL_FRACTION - 1e-9)
     n_train = segment - n_val
     if n_train < 1:
         raise ConfigError(f"split of {n} batches leaves no training data")
     return n_train, n_val, n - segment
 
 
-def chronological_split(dataset, spec=SplitSpec()):
+def chronological_split(dataset):
     """Split batches into disjoint (train, val, test) lists, order kept."""
-    n_train, n_val, n_test = split_counts(len(dataset.batches), spec)
+    n_train, n_val, n_test = split_counts(len(dataset.batches))
     b = dataset.batches
     return (b[:n_train],
             b[n_train:n_train + n_val],
@@ -227,8 +218,7 @@ def bearing_column(n_columns, bearing):
     return cols[bearing]
 
 
-def load_ims_dataset(directory, bearing, sampling_rate_hz=IMS_SAMPLING_RATE_HZ,
-                     source_id=None):
+def load_ims_dataset(directory, bearing, source_id=None):
     """Load one bearing channel of an IMS test directory as a Dataset."""
     directory = Path(directory)
     files = sorted(p for p in directory.iterdir()
@@ -242,7 +232,7 @@ def load_ims_dataset(directory, bearing, sampling_rate_hz=IMS_SAMPLING_RATE_HZ,
         batches.append(VibrationBatch(
             timestamp=ims_timestamp(p),
             samples=np.ascontiguousarray(table[:, col:col + 1], dtype=np.float32),
-            sampling_rate_hz=sampling_rate_hz))
+            sampling_rate_hz=IMS_SAMPLING_RATE_HZ))
     return Dataset(source_id=source_id or f"{directory.name}-b{bearing}", batches=batches)
 
 

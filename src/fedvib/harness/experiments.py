@@ -175,14 +175,15 @@ def run_cold_start(config):
         config, "cold_start", {spec.id: schedule for spec in config.nodes})
 
 
-def run_knowledge_transfer(config, target_spec=None):
-    """Train a federation, then score a foreign dataset with the global model.
+def run_knowledge_transfer(config):
+    """Train a federation, then score ``config.transfer_target`` with the
+    global model.
 
     No weights are updated on the target; only the anomaly threshold is
     recalibrated, on the target's chronologically first (assumed healthy)
     batches.
     """
-    target_spec = target_spec if target_spec is not None else config.transfer_target
+    target_spec = config.transfer_target
     if target_spec is None:
         raise ConfigError("knowledge transfer needs a target dataset spec")
     source = _run_federated_scenario(config, "knowledge_transfer")

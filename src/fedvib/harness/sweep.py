@@ -8,11 +8,11 @@ scale and ranked by final validation loss; ties prefer the smaller model.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..data import chronological_split, windows_for_batches
 from ..errors import ConfigError
-from ..model import build_autoencoder, count_parameters, evaluate_loss, train_epochs
+from ..model import build_autoencoder, evaluate_loss, train_epochs
 from ..model import AutoencoderConfig
 from ..nn import TrainConfig
 
@@ -44,10 +44,9 @@ class SweepPoint:
             outer_layer_sizes=(self.outer_size,) * self.n_layers,
             encoding_size=self.encoding_size)
 
-    def train_config(self, base=None):
-        base = base if base is not None else TrainConfig()
-        return replace(base, batch_size=self.batch_size,
-                       learning_rate=self.learning_rate)
+    def train_config(self):
+        return TrainConfig(batch_size=self.batch_size,
+                           learning_rate=self.learning_rate)
 
 
 @dataclass
@@ -86,7 +85,7 @@ def rank_results(results):
     return sorted(results, key=lambda r: (r.val_loss, r.param_count))
 
 
-def sweep_hyperparameters(dataset, budget, *, base_train=None, seed=0,
+def sweep_hyperparameters(dataset, budget, *, seed=0,
                           epochs=2, max_windows=256, space=None):
     """Train each sampled config briefly on ``dataset`` and rank them.
 
@@ -99,7 +98,7 @@ def sweep_hyperparameters(dataset, budget, *, base_train=None, seed=0,
     results = []
     for point in points:
         acfg = point.autoencoder_config(dataset.feature_count)
-        tcfg = point.train_config(base_train)
+        tcfg = point.train_config()
         train_w, _ = windows_for_batches(train_b, point.window_size)
         val_w, _ = windows_for_batches(val_b, point.window_size)
         if len(train_w) == 0 or len(val_w) == 0:
@@ -110,5 +109,5 @@ def sweep_hyperparameters(dataset, budget, *, base_train=None, seed=0,
                            val_windows=val_w, seed=seed)
         val_loss = out.val_losses[-1] if out.val_losses else evaluate_loss(model, val_w)
         results.append(SweepResult(point=point, val_loss=float(val_loss),
-                                   param_count=count_parameters(acfg)))
+                                   param_count=model.param_count()))
     return rank_results(results)

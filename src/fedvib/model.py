@@ -7,8 +7,7 @@ per-timestep dense output.  ReLU sits only between stacked outer LSTM layers;
 the output stays linear because vibration samples are signed.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ THRESHOLD_MODES = ("mean_plus_sigma", "paper_literal")
 SCORE_MODES = ("mean", "max")
 SIGMA_FLOOR = 1e-12
 THRESHOLD_FLOOR_MARGIN = 1e-9
+RECONSTRUCT_CHUNK = 256  # windows per forward pass when no gradient is needed
 
 
 @dataclass
@@ -65,25 +65,6 @@ class AutoencoderConfig:
             raise ConfigError(
                 f"encoding_size {self.encoding_size} does not compress a "
                 f"{self.window_size}x{self.feature_count} window")
-
-
-def count_parameters(config):
-    """Parameter count of ``build_autoencoder(config)`` without building it."""
-    def lstm(i, h):
-        return 4 * h * i + 4 * h * h + 4 * h
-
-    total = 0
-    prev = config.feature_count
-    for s in config.outer_layer_sizes:
-        total += lstm(prev, s)
-        prev = s
-    total += lstm(prev, config.encoding_size)
-    prev = config.encoding_size
-    for s in (config.encoding_size,) + tuple(reversed(config.outer_layer_sizes)):
-        total += lstm(prev, s)
-        prev = s
-    total += config.feature_count * prev + config.feature_count
-    return total
 
 
 class LstmAutoencoder:
@@ -222,11 +203,11 @@ class LstmAutoencoder:
         for pname, arr in layer_grads.items():
             grads[f"{name}.{pname}"] = arr
 
-    def reconstruct(self, windows, chunk=256):
+    def reconstruct(self, windows):
         """Reconstruction for [N, T, F] windows without keeping caches."""
         outs = []
-        for s in range(0, len(windows), chunk):
-            outs.append(self.forward(windows[s:s + chunk]))
+        for s in range(0, len(windows), RECONSTRUCT_CHUNK):
+            outs.append(self.forward(windows[s:s + RECONSTRUCT_CHUNK]))
         self._cache = None
         return np.concatenate(outs, axis=0) if outs else np.empty_like(windows)
 
@@ -242,7 +223,6 @@ class TrainResult:
     train_losses: list
     val_losses: list
     adam_state: AdamState
-    duration_s: float = 0.0
 
 
 def _epoch_rng(seed, epoch_index):
@@ -269,7 +249,6 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
     if adam_state is None:
         adam_state = AdamState.for_params(params)
     lam = cfg.l2_lambda
-    t0 = time.perf_counter()
 
     train_losses = []
     val_losses = []
@@ -303,24 +282,24 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
             val_losses.append(evaluate_loss(model, val_windows))
 
     return TrainResult(train_losses=train_losses, val_losses=val_losses,
-                       adam_state=adam_state, duration_s=time.perf_counter() - t0)
+                       adam_state=adam_state)
 
 
-def evaluate_loss(model, windows, chunk=256):
+def evaluate_loss(model, windows):
     """Mean squared reconstruction error over a window set, no updates."""
     windows = np.ascontiguousarray(windows, dtype=model.dtype)
-    recon = model.reconstruct(windows, chunk=chunk)
+    recon = model.reconstruct(windows)
     return mse_loss(windows, recon)
 
 
 # -- reconstruction error and thresholding -----------------------------------
 
-def window_scores(model, windows, chunk=256):
+def window_scores(model, windows):
     """Per-window reconstruction errors, [N] float64."""
     windows = np.ascontiguousarray(windows, dtype=model.dtype)
     if len(windows) == 0:
         return np.zeros(0)
-    recon = model.reconstruct(windows, chunk=chunk)
+    recon = model.reconstruct(windows)
     diff = recon.astype(np.float64) - windows.astype(np.float64)
     return (diff * diff).mean(axis=(1, 2))
 

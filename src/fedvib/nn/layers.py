@@ -10,6 +10,8 @@ import numpy as np
 from ..errors import ShapeError
 from . import kernels
 
+FORGET_BIAS = 1.0
+
 
 def glorot_uniform(rng, shape, fan_in, fan_out, dtype):
     """Uniform Glorot draw: limit = sqrt(6 / (fan_in + fan_out))."""
@@ -21,11 +23,11 @@ class LstmLayer:
     """Single LSTM layer over [T, B, input_size] sequences.
 
     Weights: W [4H, input], U [4H, hidden], b [4H].  Biases start at zero
-    except the forget-gate block, which starts at ``forget_bias`` (1.0) so
+    except the forget-gate block, which starts at ``FORGET_BIAS`` (1.0) so
     early training does not dump cell state.
     """
 
-    def __init__(self, input_size, hidden_size, rng, dtype=np.float32, forget_bias=1.0):
+    def __init__(self, input_size, hidden_size, rng, dtype=np.float32):
         self.input_size = int(input_size)
         self.hidden_size = int(hidden_size)
         self.dtype = np.dtype(dtype)
@@ -34,7 +36,7 @@ class LstmLayer:
                                 fan_in=self.input_size, fan_out=H, dtype=self.dtype)
         self.U = glorot_uniform(rng, (4 * H, H), fan_in=H, fan_out=H, dtype=self.dtype)
         self.b = np.zeros(4 * H, dtype=self.dtype)
-        self.b[H:2 * H] = forget_bias
+        self.b[H:2 * H] = FORGET_BIAS
 
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}

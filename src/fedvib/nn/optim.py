@@ -58,22 +58,21 @@ class AdamState:
         return cls(m=m, v=v, step=0)
 
 
-def adam_step(params, grads, state, lr,
-              beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+def adam_step(params, grads, state, lr):
     """One bias-corrected Adam update, in place on ``params``."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for k, p in params.items():
         g = grads[k]
         ft = p.dtype.type
         m = state.m[k]
         v = state.v[k]
-        m *= ft(beta1)
-        m += ft(1.0 - beta1) * g
-        v *= ft(beta2)
-        v += ft(1.0 - beta2) * (g * g)
+        m *= ft(ADAM_BETA1)
+        m += ft(1.0 - ADAM_BETA1) * g
+        v *= ft(ADAM_BETA2)
+        v += ft(1.0 - ADAM_BETA2) * (g * g)
         m_hat = m / ft(bc1)
         v_hat = v / ft(bc2)
-        p -= ft(lr) * m_hat / (np.sqrt(v_hat) + ft(eps))
+        p -= ft(lr) * m_hat / (np.sqrt(v_hat) + ft(ADAM_EPS))

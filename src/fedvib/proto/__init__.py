@@ -8,7 +8,7 @@ from .transport import (
     connect_socket,
     serve_sockets,
 )
-from .weights import ModelWeights, WeightDelta, apply_delta, compute_delta, fedavg
+from .weights import ModelWeights, WeightDelta, apply_delta, fedavg
 from .wire import (
     MAGIC,
     VERSION,
@@ -38,7 +38,6 @@ __all__ = [
     "ModelWeights",
     "WeightDelta",
     "apply_delta",
-    "compute_delta",
     "fedavg",
     "MAGIC",
     "VERSION",

@@ -48,6 +48,9 @@ from .wire import (
     max_payload_size,
 )
 
+# Default wait for one round's deltas; a node's default wait is 60 s longer
+ROUND_TIMEOUT_S = 3600.0
+
 
 @dataclass
 class RoundState:
@@ -107,11 +110,6 @@ class RoundState:
         self.status = "aggregated"
         return new_global
 
-    def mark_distributed(self):
-        if self.status != "aggregated":
-            raise ProtocolError(f"cannot distribute from status {self.status!r}")
-        self.status = "distributed"
-
 
 @dataclass
 class RoundRecord:
@@ -136,7 +134,7 @@ class AggregationNode:
     """Synchronous-barrier FedAvg coordinator."""
 
     def __init__(self, global_weights, expected_clients, rounds,
-                 registration_timeout_s=60.0, round_timeout_s=600.0):
+                 registration_timeout_s=60.0, round_timeout_s=ROUND_TIMEOUT_S):
         if expected_clients < 1:
             raise ProtocolError("need at least one expected client")
         if rounds < 0:
@@ -319,7 +317,6 @@ class AggregationNode:
         self.current_round = r + 1
         self._broadcast(GlobalModel(round=self.current_round,
                                     weights=self.global_weights))
-        state.mark_distributed()
 
         sent1 = sum(c.bytes_sent for c in self._endpoints)
         self._sent_base, self._recv_base = sent1, recv1

@@ -26,6 +26,7 @@ from ..model import (
     window_scores,
 )
 from ..nn.ops import apply_weight_delta, weight_delta
+from .aggregator import ROUND_TIMEOUT_S
 from .weights import ModelWeights, WeightDelta
 from .wire import (
     ERR_ROUND_ABORT,
@@ -52,17 +53,21 @@ class TrainingNodeConfig:
     score_mode: str = "mean"
     persist_optimizer: bool = False
     seed: int = 0
-    recv_timeout_s: float = 600.0
+    # outlasts the aggregator's default round timeout, so that the aggregator's
+    # abort, and its reason, reaches the node before the node gives up
+    recv_timeout_s: float = ROUND_TIMEOUT_S + 60.0
     # round_index (0-based) -> max training windows; None trains on all
     window_schedule: object = None
 
     def __post_init__(self):
         if not self.client_id:
-            raise ValueError("client_id must be non-empty")
+            raise ConfigError("client_id must be non-empty")
         if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+            raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         if self.epochs_per_round < 1:
-            raise ValueError(f"epochs_per_round must be >= 1, got {self.epochs_per_round}")
+            raise ConfigError(f"epochs_per_round must be >= 1, got {self.epochs_per_round}")
+        if self.threshold_delta < 0:
+            raise ConfigError(f"threshold_delta must be >= 0, got {self.threshold_delta}")
         if self.threshold_mode not in THRESHOLD_MODES:
             raise ConfigError(f"threshold_mode must be one of {THRESHOLD_MODES}")
         if self.score_mode not in SCORE_MODES:
@@ -87,7 +92,6 @@ class NodeResult:
     final_weights: ModelWeights
     final_threshold: ThresholdModel
     untrained: bool = False
-    deltas_sent: int = 0
     bytes_sent: int = 0          # frame bytes on the node's endpoint
     bytes_received: int = 0
 
@@ -122,7 +126,6 @@ class TrainingNode:
 
         stats = []
         adam_state = None
-        deltas_sent = 0
         trained_any = False
         while True:
             msg = endpoint.recv(timeout=cfg.recv_timeout_s)
@@ -167,7 +170,6 @@ class TrainingNode:
                 client_id=cfg.client_id, round=r,
                 delta=WeightDelta(delta_tensors, base_round=r),
                 windows_trained=len(windows)))
-            deltas_sent += 1
 
             scores = window_scores(model, self.val_windows)
             threshold = self._calibrate(scores)
@@ -188,7 +190,6 @@ class TrainingNode:
                           final_weights=ModelWeights(model.weights_dict()),
                           final_threshold=final_threshold,
                           untrained=not trained_any,
-                          deltas_sent=deltas_sent,
                           bytes_sent=endpoint.bytes_sent,
                           bytes_received=endpoint.bytes_received)
 

@@ -2,17 +2,16 @@
 
 Weights travel the wire as float32.  Delta arithmetic happens in float64 and
 is rounded to float32 exactly once per operation, so
-``apply_delta(g, compute_delta(w, g))`` reproduces ``w`` bitwise in the
-regimes training produces (see fedvib.nn.ops.weight_delta).
+``apply_delta(g, WeightDelta(weight_delta(w.tensors, g.tensors)))`` reproduces
+``w`` bitwise in the regimes training produces (see fedvib.nn.ops.weight_delta).
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
-from ..nn.ops import apply_weight_delta, check_layout, weight_delta
+from ..errors import ConfigError
+from ..nn.ops import apply_weight_delta, check_layout
 
 
 def _as_float32_tensors(tensors):
@@ -27,18 +26,9 @@ def _as_float32_tensors(tensors):
     return out
 
 
-def _fingerprint(tensors):
-    h = hashlib.sha256()
-    for name, arr in tensors.items():
-        h.update(name.encode("utf-8"))
-        h.update(np.asarray(arr.shape, dtype="<u8").tobytes())
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
 @dataclass
 class ModelWeights:
-    """Ordered name -> float32 array mapping with a content fingerprint."""
+    """Ordered name -> float32 array mapping; ``==`` compares bitwise."""
 
     tensors: dict = field(default_factory=dict)
 
@@ -46,22 +36,6 @@ class ModelWeights:
         self.tensors = _as_float32_tensors(self.tensors)
         if not self.tensors:
             raise ConfigError("ModelWeights needs at least one tensor")
-
-    @property
-    def fingerprint(self):
-        return _fingerprint(self.tensors)
-
-    @property
-    def parameter_count(self):
-        return sum(a.size for a in self.tensors.values())
-
-    def copy(self):
-        return ModelWeights({k: v.copy() for k, v in self.tensors.items()})
-
-    def allclose(self, other, rtol=0.0, atol=0.0):
-        check_layout(self.tensors, other.tensors, "weight sets")
-        return all(np.allclose(self.tensors[k], other.tensors[k], rtol=rtol, atol=atol)
-                   for k in self.tensors)
 
     def __eq__(self, other):
         if not isinstance(other, ModelWeights):
@@ -85,10 +59,6 @@ class WeightDelta:
         if self.base_round < 0:
             raise ConfigError(f"base_round must be >= 0, got {self.base_round}")
 
-    @property
-    def parameter_count(self):
-        return sum(a.size for a in self.tensors.values())
-
     def __eq__(self, other):
         if not isinstance(other, WeightDelta):
             return NotImplemented
@@ -96,12 +66,6 @@ class WeightDelta:
                 and list(self.tensors) == list(other.tensors)
                 and all(np.array_equal(self.tensors[k], other.tensors[k])
                         for k in self.tensors))
-
-
-def compute_delta(local, base_global, base_round=0):
-    """local − base_global per tensor (float64 subtract, one float32 round)."""
-    return WeightDelta(tensors=weight_delta(local.tensors, base_global.tensors),
-                       base_round=base_round)
 
 
 def apply_delta(base_global, delta):

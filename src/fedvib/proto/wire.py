@@ -186,7 +186,9 @@ class _Reader:
                             offset=self.base + self.offset - n) from None
 
 
-def _decode_weight_block(r):
+def _decode_weight_block(r, build):
+    """Read one weight block and return ``build(tensors)``; a block the
+    container refuses (no tensors, an empty name) is a WireError."""
     count = r.u32("tensor count")
     tensors = {}
     for i in range(count):
@@ -206,7 +208,10 @@ def _decode_weight_block(r):
                             offset=r.base + r.offset)
         raw = r.take(4 * numel, f"tensor {name!r} values")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    return tensors
+    try:
+        return build(tensors)
+    except Exception as e:
+        raise WireError(f"invalid weight block: {e}", offset=r.base) from None
 
 
 def decode_frame(data):
@@ -234,21 +239,12 @@ def decode_frame(data):
         msg = Register(client_id=r.string("client_id"))
     elif msg_type == MSG_GLOBAL_MODEL:
         rnd = r.u64("round")
-        tensors = _decode_weight_block(r)
-        try:
-            weights = ModelWeights(tensors)
-        except Exception as e:
-            raise WireError(f"invalid weight block: {e}", offset=r.base) from None
-        msg = GlobalModel(round=rnd, weights=weights)
+        msg = GlobalModel(round=rnd, weights=_decode_weight_block(r, ModelWeights))
     elif msg_type == MSG_DELTA_SUBMISSION:
         client_id = r.string("client_id")
         rnd = r.u64("round")
         windows = r.u64("windows_trained")
-        tensors = _decode_weight_block(r)
-        try:
-            delta = WeightDelta(tensors, base_round=rnd)
-        except Exception as e:
-            raise WireError(f"invalid delta block: {e}", offset=r.base) from None
+        delta = _decode_weight_block(r, lambda t: WeightDelta(t, base_round=rnd))
         msg = DeltaSubmission(client_id=client_id, round=rnd, delta=delta,
                               windows_trained=windows)
     elif msg_type == MSG_ACK:

@@ -1,6 +1,7 @@
 """Console entry points: synth, experiment, sweep, sockets round trip,
 and the offline portions of fetch-ims."""
 
+import dataclasses
 import json
 import socket
 import threading
@@ -9,9 +10,10 @@ import zipfile
 import numpy as np
 import pytest
 
-from fedvib.cli import main
+from fedvib.cli import build_parser, main
 from fedvib.data import load_csv_dataset
 from fedvib.harness import load_model_checkpoint
+from fedvib.proto import TrainingNodeConfig
 
 
 def free_port():
@@ -132,7 +134,7 @@ def test_aggregate_and_train_commands_over_sockets(tmp_path, capsys):
 
     round_index, weights = load_model_checkpoint(checkpoint)
     assert round_index == 2
-    assert weights.parameter_count > 0
+    assert sum(a.size for a in weights.tensors.values()) > 0
 
 
 def test_train_rejects_a_window_longer_than_every_batch(tmp_path, capsys):
@@ -153,6 +155,43 @@ def test_train_rejects_a_window_below_one(tmp_path, capsys):
                      "--data", str(data), "--id", "node", "--rounds", "1",
                      "--window", window]) == 1
         assert "error: window_size must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--rounds", "-1"], "rounds must be >= 0"),
+    (["--epochs-per-round", "0"], "epochs_per_round must be >= 1"),
+    (["--delta", "-1"], "threshold_delta must be >= 0"),
+], ids=["rounds", "epochs", "delta"])
+def test_train_rejects_bad_settings_before_connecting(tmp_path, capsys, flags, message):
+    data = write_dataset(tmp_path / "node", seed=23)
+    capsys.readouterr()
+    # nobody listens on the port, so a late check would report the connect instead
+    assert main(["train", "--aggregator", f"127.0.0.1:{free_port()}",
+                 "--data", str(data), "--id", "node", "--rounds", "1",
+                 "--window", "10", "--outer", "4", "--encoding", "2", *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--clients", "0", "--rounds", "1"],
+                                   ["--clients", "1", "--rounds", "-1"]],
+                         ids=["clients", "rounds"])
+def test_aggregate_refuses_bad_arguments_before_listening(capsys, flags):
+    # a listener opened before the check would leak: a ResourceWarning fails the test
+    assert main(["aggregate", "--listen", f"127.0.0.1:{free_port()}",
+                 "--features", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "aggregating on" not in captured.out
+    assert "error:" in captured.err
+
+
+def test_a_trainer_outwaits_the_aggregator_round_timeout():
+    # the node must still be waiting when the aggregator gives up on a round,
+    # so it receives the abort and its reason instead of a bare timeout
+    args = build_parser().parse_args(["aggregate", "--clients", "1", "--rounds", "1",
+                                      "--features", "1"])
+    (wait,) = [f.default for f in dataclasses.fields(TrainingNodeConfig)
+               if f.name == "recv_timeout_s"]
+    assert wait > args.round_timeout
 
 
 def test_aggregate_rejects_bad_listen_address():

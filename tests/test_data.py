@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fedvib.data import (
+    TRAIN_FRACTION,
+    VAL_FRACTION,
     Dataset,
-    SplitSpec,
     SynthConfig,
     VibrationBatch,
     bearing_column,
@@ -149,18 +150,17 @@ def test_split_counts_pinned_examples():
 
 
 def test_split_counts_disjoint_exhaustive_and_fraction_bounds():
-    spec = SplitSpec()
     for n in range(3, 120):
-        tr, va, te = split_counts(n, spec)
+        tr, va, te = split_counts(n)
         assert tr >= 1 and va >= 0 and te >= 0
         assert tr + va + te == n
         segment = tr + va
         # floor() can undershoot the target fraction by at most one batch
-        assert segment / n <= spec.train_fraction + 1e-9
-        assert segment / n > spec.train_fraction - 1.0 / n
+        assert segment / n <= TRAIN_FRACTION + 1e-9
+        assert segment / n > TRAIN_FRACTION - 1.0 / n
         # ceil() can overshoot the validation share by at most one batch
-        assert va >= segment * spec.val_fraction - 1e-6
-        assert va < segment * spec.val_fraction + 1
+        assert va >= segment * VAL_FRACTION - 1e-6
+        assert va < segment * VAL_FRACTION + 1
 
 
 def test_chronological_split_preserves_order():
@@ -170,13 +170,6 @@ def test_chronological_split_preserves_order():
     assert [b.timestamp for b in train] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     assert [b.timestamp for b in val] == [6.0]
     assert [b.timestamp for b in test] == [7.0, 8.0, 9.0]
-
-
-def test_split_spec_validation():
-    with pytest.raises(ConfigError):
-        SplitSpec(train_fraction=1.0)
-    with pytest.raises(ConfigError):
-        SplitSpec(val_fraction=0.0)
 
 
 # -- IMS files ---------------------------------------------------------------

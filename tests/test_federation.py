@@ -116,7 +116,6 @@ def test_federation_reaches_bitwise_consensus():
     assert ModelWeights(agg.global_weights.tensors) == finals[0]
     for cid in seeds:
         assert [s.round for s in results[cid].round_stats] == [0, 1, 2]
-        assert results[cid].deltas_sent == 3
         assert not results[cid].untrained
 
 
@@ -179,7 +178,7 @@ def test_zero_round_federation_flags_untrained():
     agg, records, results = run_federation({"solo": 3}, rounds=0)
     assert records == []
     res = results["solo"]
-    assert res.untrained and res.deltas_sent == 0
+    assert res.untrained
     assert res.round_stats == []
     assert len(res.verdicts) > 0  # scored with the initial model, flagged
 
@@ -708,9 +707,9 @@ def test_node_round_scores_each_validation_window_once(monkeypatch):
     reconstructed = []
     original = LstmAutoencoder.reconstruct
 
-    def counting(self, windows, chunk=256):
+    def counting(self, windows):
         reconstructed.append(len(windows))
-        return original(self, windows, chunk=chunk)
+        return original(self, windows)
 
     monkeypatch.setattr(LstmAutoencoder, "reconstruct", counting)
     rounds = 3

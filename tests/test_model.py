@@ -12,7 +12,6 @@ from fedvib.model import (
     ThresholdModel,
     batch_anomaly_score,
     build_autoencoder,
-    count_parameters,
     evaluate_detection,
     evaluate_loss,
     train_epochs,
@@ -44,14 +43,17 @@ def test_config_validation():
 
 
 def test_param_count_matches_built_model():
-    for cfg in [
-        AutoencoderConfig(feature_count=1, window_size=8, outer_layer_sizes=(8,),
-                          encoding_size=4),
-        AutoencoderConfig(feature_count=3, window_size=10, outer_layer_sizes=(6, 5),
-                          encoding_size=2),
+    # an LSTM i -> h holds 4h(i + h + 1) values, the dense h -> f holds f(h + 1)
+    for cfg, expect in [
+        (AutoencoderConfig(feature_count=1, window_size=8, outer_layer_sizes=(8,),
+                           encoding_size=4),
+         320 + 208 + 144 + 416 + 9),           # 1->8, 8->4 | 4->4, 4->8 | 8->1
+        (AutoencoderConfig(feature_count=3, window_size=10, outer_layer_sizes=(6, 5),
+                           encoding_size=2),
+         240 + 240 + 64 + 40 + 160 + 288 + 21),  # 3->6, 6->5, 5->2 | 2->2, 2->5, 5->6 | 6->3
     ]:
         model = build_autoencoder(cfg, seed=0)
-        assert model.param_count() == count_parameters(cfg)
+        assert model.param_count() == expect
 
 
 def test_parameter_layout_is_architecture_ordered():
