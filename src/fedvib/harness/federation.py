@@ -23,10 +23,10 @@ from ..proto import (
     connect_socket,
     serve_sockets,
 )
+from ..proto.aggregator import ROUND_TIMEOUT_S
 from .config import TRANSPORTS, dataset_bytes, load_raw_dataset, preprocess_dataset
 
 REGISTRATION_TIMEOUT_S = 120.0
-ROUND_TIMEOUT_S = 1800.0
 
 
 @dataclass
@@ -181,7 +181,6 @@ def run_federation(setups, config, window_schedules=None):
                 threshold_mode=config.threshold_mode,
                 score_mode=config.score_mode,
                 seed=config.seed + index,
-                recv_timeout_s=ROUND_TIMEOUT_S,
                 window_schedule=(window_schedules or {}).get(setup.node_id)),
             setup.train_windows, setup.val_windows,
             test_batches=setup.test_batches,

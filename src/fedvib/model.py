@@ -28,12 +28,15 @@ from .nn import (
     relu_grad,
     weight_delta,
 )
+from .nn.ops import check_layout
 
 THRESHOLD_MODES = ("mean_plus_sigma", "paper_literal")
 SCORE_MODES = ("mean", "max")
 SIGMA_FLOOR = 1e-12
 THRESHOLD_FLOOR_MARGIN = 1e-9
-RECONSTRUCT_CHUNK = 256  # windows per forward pass when no gradient is needed
+# windows per forward pass when no gradient follows: bounds the peak of the
+# caches each forward returns, which are dropped chunk by chunk
+RECONSTRUCT_CHUNK = 256
 
 
 @dataclass
@@ -68,7 +71,12 @@ class AutoencoderConfig:
 
 
 class LstmAutoencoder:
-    """Windows in, reconstructions out; exposes flat named parameter dicts."""
+    """Windows in, reconstructions out; holds only its weights.
+
+    The named parameter arrays are bound once, at construction: loading
+    weights copies into them, so ``param_refs()`` stays valid for the life of
+    the model.
+    """
 
     def __init__(self, config, seed=0, dtype=np.float32):
         self.config = config
@@ -80,62 +88,56 @@ class LstmAutoencoder:
         outer = config.outer_layer_sizes
         E = config.encoding_size
 
-        self._names = []
         self._layers = {}
 
         prev = F
         for i, s in enumerate(outer):
-            self._add(f"enc{i}", LstmLayer(prev, s, rng, dtype=self.dtype))
+            self._layers[f"enc{i}"] = LstmLayer(prev, s, rng, dtype=self.dtype)
             prev = s
-        self._add("code", LstmLayer(prev, E, rng, dtype=self.dtype))
+        self._layers["code"] = LstmLayer(prev, E, rng, dtype=self.dtype)
 
         dec_sizes = (E,) + tuple(reversed(outer))
         prev = E
         for j, s in enumerate(dec_sizes):
-            self._add(f"dec{j}", LstmLayer(prev, s, rng, dtype=self.dtype))
+            self._layers[f"dec{j}"] = LstmLayer(prev, s, rng, dtype=self.dtype)
             prev = s
-        self._add("out", DenseLayer(prev, F, rng, dtype=self.dtype))
+        self._layers["out"] = DenseLayer(prev, F, rng, dtype=self.dtype)
 
         n_outer = len(outer)
         self._enc_relu = [i < n_outer - 1 for i in range(n_outer)]
         self._dec_relu = [1 <= j < len(dec_sizes) - 1 for j in range(len(dec_sizes))]
-        self._cache = None
-
-    def _add(self, name, layer):
-        self._names.append(name)
-        self._layers[name] = layer
+        self._params = {f"{name}.{pname}": arr
+                        for name, layer in self._layers.items()
+                        for pname, arr in layer.params().items()}
 
     # -- parameter access ---------------------------------------------------
 
     def param_refs(self):
-        """Live (unCopied) named arrays, architecture order."""
-        out = {}
-        for name in self._names:
-            for pname, arr in self._layers[name].params().items():
-                out[f"{name}.{pname}"] = arr
-        return out
+        """Live (uncopied) named arrays, architecture order; the same dict
+        and arrays on every call."""
+        return self._params
 
     def weights_dict(self):
         """Copied named arrays, safe to ship or stash."""
-        return {k: v.copy() for k, v in self.param_refs().items()}
+        return {k: v.copy() for k, v in self._params.items()}
 
     def set_weights_dict(self, weights):
-        current = self.param_refs()
-        if list(weights.keys()) != list(current.keys()):
-            raise ShapeError(
-                f"weight names mismatch: got {list(weights)[:4]}..., "
-                f"expected {list(current)[:4]}...")
-        for name in self._names:
-            layer = self._layers[name]
-            layer.set_params({p: weights[f"{name}.{p}"] for p in layer.params()})
+        """Copy ``weights`` into the model's own arrays (names, order and
+        shapes must match)."""
+        check_layout(self._params, weights, "model weights")
+        for k, arr in self._params.items():
+            np.copyto(arr, weights[k])
 
     def param_count(self):
-        return sum(a.size for a in self.param_refs().values())
+        return sum(a.size for a in self._params.values())
 
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x):
-        """x: [B, T, F] -> reconstruction [B, T, F]; retains backward caches."""
+        """x: [B, T, F] -> ``(reconstruction [B, T, F], cache)``.
+
+        ``cache`` holds what ``backward`` needs; the model keeps none of it.
+        """
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != cfg.window_size or x.shape[2] != cfg.feature_count:
             raise ShapeError(
@@ -161,18 +163,14 @@ class LstmAutoencoder:
                 caches[name + ".pre"] = h
                 h = relu(h)
         y, caches["out"] = self._layers["out"].forward(h)
-        self._cache = caches
-        return np.ascontiguousarray(y.transpose(1, 0, 2))
+        return np.ascontiguousarray(y.transpose(1, 0, 2)), caches
 
-    def backward(self, d_recon):
+    def backward(self, d_recon, caches):
         """Gradient of a scalar loss w.r.t. every parameter.
 
         ``d_recon`` is the loss gradient w.r.t. the [B, T, F] reconstruction
-        returned by the latest ``forward``.
+        of the ``forward`` call that returned ``caches``.
         """
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        caches = self._cache
         grads = {}
 
         d = np.ascontiguousarray(d_recon.transpose(1, 0, 2), dtype=self.dtype)
@@ -197,18 +195,18 @@ class LstmAutoencoder:
             d, g = self._layers[name].backward(d, caches[name], return_sequences=True)
             self._store(grads, name, g)
 
-        return {k: grads[k] for k in self.param_refs()}
+        return {k: grads[k] for k in self._params}
 
     def _store(self, grads, name, layer_grads):
         for pname, arr in layer_grads.items():
             grads[f"{name}.{pname}"] = arr
 
     def reconstruct(self, windows):
-        """Reconstruction for [N, T, F] windows without keeping caches."""
+        """Reconstruction for [N, T, F] windows; each chunk's caches are
+        dropped as soon as its forward returns."""
         outs = []
         for s in range(0, len(windows), RECONSTRUCT_CHUNK):
-            outs.append(self.forward(windows[s:s + RECONSTRUCT_CHUNK]))
-        self._cache = None
+            outs.append(self.forward(windows[s:s + RECONSTRUCT_CHUNK])[0])
         return np.concatenate(outs, axis=0) if outs else np.empty_like(windows)
 
 
@@ -261,10 +259,10 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
         batch_losses = []
         for s in range(0, n, cfg.batch_size):
             xb = windows[perm[s:s + cfg.batch_size]]
-            recon = model.forward(xb)
+            recon, cache = model.forward(xb)
             batch_losses.append(mse_loss(xb, recon))
-            grads = model.backward(mse_grad(xb, recon))
-            params = model.param_refs()
+            grads = model.backward(mse_grad(xb, recon), cache)
+            del cache  # freed before the next forward builds its own
             if lam > 0:
                 two_lam = model.dtype.type(2.0 * lam)
                 for k in grads:
@@ -273,9 +271,9 @@ def train_epochs(model, train_windows, cfg, n_epochs, *, val_windows=None,
             clip_gradients(grads, cfg.clip_max_norm)
             adam_step(params, grads, adam_state, lr)
 
-        delta = weight_delta(model.param_refs(), start_weights)
+        delta = weight_delta(params, start_weights)
         model.set_weights_dict(apply_weight_delta(start_weights, delta))
-        check_finite(model.param_refs(), context=f"epoch {global_epoch}")
+        check_finite(params, context=f"epoch {global_epoch}")
 
         train_losses.append(float(np.mean(batch_losses)))
         if val_windows is not None and len(val_windows):

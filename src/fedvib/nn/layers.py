@@ -1,8 +1,9 @@
 """LSTM and dense layers: parameter storage plus forward/backward wrappers.
 
-The layers hold their parameters as attributes and delegate the heavy
-recurrence to :mod:`fedvib.nn.kernels`.  Gate order everywhere is
-input | forget | cell | output along the stacked 4H dimension.
+The layers hold their parameters as attributes, written in place and never
+rebound, and delegate the heavy recurrence to :mod:`fedvib.nn.kernels`.
+Gate order everywhere is input | forget | cell | output along the stacked
+4H dimension.
 """
 
 import numpy as np
@@ -41,13 +42,6 @@ class LstmLayer:
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def set_params(self, p):
-        for name in ("W", "U", "b"):
-            cur = getattr(self, name)
-            if p[name].shape != cur.shape:
-                raise ShapeError(f"lstm param {name}: {p[name].shape} != {cur.shape}")
-            setattr(self, name, np.ascontiguousarray(p[name], dtype=self.dtype))
-
     def forward(self, x, return_sequences=True):
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(
@@ -83,13 +77,6 @@ class DenseLayer:
 
     def params(self):
         return {"W": self.W, "b": self.b}
-
-    def set_params(self, p):
-        for name in ("W", "b"):
-            cur = getattr(self, name)
-            if p[name].shape != cur.shape:
-                raise ShapeError(f"dense param {name}: {p[name].shape} != {cur.shape}")
-            setattr(self, name, np.ascontiguousarray(p[name], dtype=self.dtype))
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[2] != self.input_size:

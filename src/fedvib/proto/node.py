@@ -155,7 +155,6 @@ class TrainingNode:
             windows = self.train_windows
             if cfg.window_schedule is not None:
                 windows = windows[:cfg.window_schedule(r)]
-            round_start = model.weights_dict()
             result = train_epochs(
                 model, windows, cfg.train, cfg.epochs_per_round, seed=cfg.seed,
                 epoch_offset=r * cfg.epochs_per_round,
@@ -164,8 +163,9 @@ class TrainingNode:
                 adam_state = result.adam_state
             trained_any = True
 
-            delta_tensors = weight_delta(model.param_refs(), round_start)
-            model.set_weights_dict(apply_weight_delta(round_start, delta_tensors))
+            # the delta is taken against the global model this round started from
+            delta_tensors = weight_delta(model.param_refs(), msg.weights.tensors)
+            model.set_weights_dict(apply_weight_delta(msg.weights.tensors, delta_tensors))
             endpoint.send(DeltaSubmission(
                 client_id=cfg.client_id, round=r,
                 delta=WeightDelta(delta_tensors, base_round=r),

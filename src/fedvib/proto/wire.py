@@ -149,9 +149,10 @@ def encode_frame(message):
 
 @dataclass
 class _Reader:
-    """Bounds-checked cursor over a frame; offsets are absolute frame bytes."""
+    """Bounds-checked cursor over a frame; offsets are absolute frame bytes.
+    ``data`` is a memoryview, so each ``take`` slices without copying."""
 
-    data: bytes
+    data: memoryview
     offset: int = 0
     base: int = 0  # added to offsets in error messages
 
@@ -180,7 +181,7 @@ class _Reader:
         n = self.u16(f"{what} length")
         raw = self.take(n, what)
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as e:
             raise WireError(f"bad utf-8 in {what}: {e}",
                             offset=self.base + self.offset - n) from None
@@ -207,7 +208,12 @@ def _decode_weight_block(r, build):
                             f"{(len(r.data) - r.offset) // 4} fit in the payload",
                             offset=r.base + r.offset)
         raw = r.take(4 * numel, f"tensor {name!r} values")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        try:
+            # a view into the frame; the container copies it to float32 once
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        except ValueError as e:  # an empty tensor with a dim numpy cannot hold
+            raise WireError(f"tensor {name!r} has unusable shape {shape}: {e}",
+                            offset=r.base + r.offset) from None
     try:
         return build(tensors)
     except Exception as e:
@@ -233,7 +239,7 @@ def decode_frame(data):
     if len(data) - HEADER_SIZE != payload_len:
         raise WireError(f"payload length field says {payload_len} bytes but "
                         f"{len(data) - HEADER_SIZE} are present", offset=6)
-    r = _Reader(data[HEADER_SIZE:], base=HEADER_SIZE)
+    r = _Reader(memoryview(data)[HEADER_SIZE:], base=HEADER_SIZE)
 
     if msg_type == MSG_REGISTER:
         msg = Register(client_id=r.string("client_id"))

@@ -65,10 +65,10 @@ def test_c1_gradient_oracle():
     x = sine_windows(3, window_size=8, features=1, seed=5).astype(np.float64)
 
     def loss(m, xb):
-        return mse_loss(xb, m.forward(xb))
+        return mse_loss(xb, m.forward(xb)[0])
 
-    recon = model.forward(x)
-    analytic = model.backward((2.0 / recon.size) * (recon - x))
+    recon, cache = model.forward(x)
+    analytic = model.backward((2.0 / recon.size) * (recon - x), cache)
     numeric = fd_gradients(model, x, loss, h=1e-4)
     max_rel, max_abs = gradient_errors(analytic, numeric)
     elapsed = time.perf_counter() - t0

@@ -135,6 +135,25 @@ def test_failing_node_ends_the_federation_with_its_own_error(monkeypatch):
         run_federation(setups, cfg, window_schedules={"m1": lambda r: 0})
 
 
+def test_harness_nodes_outwait_the_aggregator(monkeypatch):
+    # a node that stops waiting first would end with a bare transport error
+    # instead of the aggregator's abort reason
+    launched = []
+
+    def capture(agg, nodes, transport):
+        launched.append((agg, nodes))
+        return [], {}
+
+    monkeypatch.setattr("fedvib.harness.federation.run_nodes", capture)
+    cfg = make_config(rounds=1)
+    setups = [prepare_node(spec, ACFG.window_size) for spec in cfg.nodes]
+    run_federation(setups, cfg)
+    [(agg, nodes)] = launched
+    assert len(nodes) == 2
+    for node in nodes:
+        assert node.config.recv_timeout_s > agg.round_timeout_s
+
+
 # -- cold-start scenario ------------------------------------------------------
 
 def test_cold_start_windows_trained_follows_schedule():

@@ -1,5 +1,7 @@
 """Autoencoder assembly, training behavior, scores, thresholds, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,19 +86,72 @@ def test_build_deterministic_under_seed():
 
 def test_forward_shape_and_input_validation(tiny_model, tiny_config):
     x = sine_windows(4, tiny_config.window_size, 1, seed=1)
-    y = tiny_model.forward(x)
+    y, _ = tiny_model.forward(x)
     assert y.shape == x.shape
     with pytest.raises(ShapeError):
         tiny_model.forward(x[:, :3, :])
 
 
+def test_backward_uses_the_cache_it_is_given(tiny_config):
+    # a second forward between a forward and its backward changes nothing
+    model = build_autoencoder(tiny_config, seed=7, dtype=np.float64)
+    x1 = sine_windows(4, tiny_config.window_size, 1, seed=1).astype(np.float64)
+    x2 = sine_windows(4, tiny_config.window_size, 1, seed=2).astype(np.float64)
+    recon1, cache1 = model.forward(x1)
+    model.forward(x2)
+    interleaved = model.backward(mse_grad(x1, recon1), cache1)
+    plain = _analytic_grads(build_autoencoder(tiny_config, seed=7, dtype=np.float64), x1)
+    assert list(interleaved) == list(plain)
+    assert all(interleaved[k].tobytes() == plain[k].tobytes() for k in plain)
+
+
+def test_param_refs_are_bound_once(tiny_model, tiny_config):
+    refs = tiny_model.param_refs()
+    arrays = list(refs.values())
+    other = build_autoencoder(tiny_config, seed=8).weights_dict()
+    tiny_model.set_weights_dict(other)
+    assert all(np.array_equal(refs[k], other[k]) for k in other)
+    x = sine_windows(16, tiny_config.window_size, 1, seed=3)
+    train_epochs(tiny_model, x, TrainConfig(batch_size=8), 2, seed=0)
+    assert not np.array_equal(refs["enc0.W"], other["enc0.W"])
+    assert all(a is b for a, b in zip(arrays, tiny_model.param_refs().values(), strict=True))
+
+
+def test_set_weights_dict_rejects_a_wrong_layout(tiny_model):
+    before = tiny_model.weights_dict()
+    renamed = {("out.bias" if k == "out.b" else k): v for k, v in before.items()}
+    reshaped = {**before, "out.W": np.zeros((2, 2), dtype=np.float32)}
+    missing = {k: v for k, v in before.items() if k != "code.U"}
+    for bad in (renamed, reshaped, missing):
+        with pytest.raises(ShapeError):
+            tiny_model.set_weights_dict(bad)
+    after = tiny_model.param_refs()
+    assert all(before[k].tobytes() == after[k].tobytes() for k in before)
+
+
+def test_training_leaves_no_cache_behind():
+    # one minibatch of the wide model caches about 45 MB for its backward
+    cfg = AutoencoderConfig(feature_count=3, window_size=100, outer_layer_sizes=(128,),
+                            encoding_size=16)
+    model = build_autoencoder(cfg, seed=0)
+    x = sine_windows(64, cfg.window_size, cfg.feature_count, seed=0)
+    tracemalloc.start()
+    try:
+        result = train_epochs(model, x, TrainConfig(), 1, seed=0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.train_losses
+    assert retained < 5 * 2 ** 20, f"{retained / 2 ** 20:.1f} MB still allocated"
+
+
 def _mse_of(model, x):
-    return mse_loss(x, model.forward(x))
+    return mse_loss(x, model.forward(x)[0])
 
 
 def _analytic_grads(model, x):
-    recon = model.forward(x)
-    return model.backward(mse_grad(x, recon))
+    recon, cache = model.forward(x)
+    return model.backward(mse_grad(x, recon), cache)
 
 
 def test_model_gradients_match_finite_differences_smooth_config():

@@ -225,8 +225,8 @@ def test_lstm_init_forget_bias():
 
 def test_lstm_zero_weights_zero_output():
     layer = LstmLayer(1, 4, np.random.default_rng(0))
-    layer.set_params({"W": np.zeros_like(layer.W), "U": np.zeros_like(layer.U),
-                      "b": np.zeros_like(layer.b)})
+    for arr in (layer.W, layer.U, layer.b):
+        arr[...] = 0
     x = np.random.default_rng(1).standard_normal((5, 2, 1)).astype(np.float32)
     y, _ = layer.forward(x)
     assert not y.any()
@@ -235,11 +235,9 @@ def test_lstm_zero_weights_zero_output():
 def test_lstm_scalar_hand_computation():
     # one step, one unit: z = x*W per gate, U and b zero
     layer = LstmLayer(1, 1, np.random.default_rng(0))
-    layer.set_params({
-        "W": np.array([[0.1], [0.2], [0.3], [0.4]], dtype=np.float32),
-        "U": np.zeros((4, 1), dtype=np.float32),
-        "b": np.zeros(4, dtype=np.float32),
-    })
+    layer.W[:] = [[0.1], [0.2], [0.3], [0.4]]
+    layer.U[:] = 0
+    layer.b[:] = 0
     x = np.full((1, 1, 1), 2.0, dtype=np.float32)
     y, _ = layer.forward(x)
 
@@ -255,7 +253,7 @@ def test_lstm_two_step_recurrence_hand_computation():
     W = np.array([[0.5], [-0.3], [0.8], [0.2]], dtype=np.float32)
     U = np.array([[0.4], [0.1], [-0.6], [0.3]], dtype=np.float32)
     b = np.array([0.05, 1.0, -0.1, 0.0], dtype=np.float32)
-    layer.set_params({"W": W, "U": U, "b": b})
+    layer.W[:], layer.U[:], layer.b[:] = W, U, b
     x = np.array([[[1.0]], [[-0.5]]], dtype=np.float32)
     y, _ = layer.forward(x)
 
@@ -331,8 +329,8 @@ def test_lstm_layer_gradients_match_finite_differences():
 
 def test_dense_known_affine():
     layer = DenseLayer(1, 1, np.random.default_rng(0))
-    layer.set_params({"W": np.array([[2.0]], dtype=np.float32),
-                      "b": np.array([1.0], dtype=np.float32)})
+    layer.W[:] = 2.0
+    layer.b[:] = 1.0
     x = np.full((1, 1, 1), 3.0, dtype=np.float32)
     y, _ = layer.forward(x)
     assert y[0, 0, 0] == pytest.approx(7.0)

@@ -355,6 +355,18 @@ def test_wire_absurd_tensor_size_rejected():
     assert err.value.offset is not None
 
 
+def test_wire_empty_tensor_with_a_huge_dim_rejected():
+    # zero values fit any payload, but numpy cannot shape (0, 2**63)
+    w = ModelWeights({"x": np.zeros((0, 1), dtype=np.float32)})
+    frame = bytearray(encode_frame(GlobalModel(round=0, weights=w)))
+    dim_at = HEADER_SIZE + 8 + 4 + 2 + 1 + 1 + 8  # the tensor's second dim
+    frame[dim_at:dim_at + 8] = (1 << 63).to_bytes(8, "little")
+    with pytest.raises(WireError) as err:
+        decode_frame(bytes(frame))
+    assert "shape" in str(err.value)
+    assert err.value.offset is not None
+
+
 def test_wire_error_offsets_point_into_frame():
     rng = np.random.default_rng(14)
     frame = encode_frame(GlobalModel(round=1, weights=_random_weights(rng)))
