@@ -1,9 +1,10 @@
 """Hosting a whole federation in one process and merging its bookkeeping.
 
 Every participant runs in its own thread: the aggregation node in the calling
-thread, each training node in a worker.  Transport is either the in-process
-queue hub or real localhost sockets; both count the same encoded frames, so
-byte accounting is transport-independent.
+thread, each training node in a worker.  Nodes connect either through the
+in-process hub's socket pairs or over localhost TCP; both ends are the same
+socket endpoints and count the same encoded frames, so byte accounting is
+transport-independent.
 """
 
 import threading

@@ -105,9 +105,8 @@ def sweep_hyperparameters(dataset, budget, *, seed=0,
             raise ConfigError(f"window_size={point.window_size} yields no "
                               f"windows on dataset {dataset.source_id!r}")
         model = build_autoencoder(acfg, seed=seed)
-        out = train_epochs(model, train_w[:max_windows], tcfg, epochs,
-                           val_windows=val_w, seed=seed)
-        val_loss = out.val_losses[-1] if out.val_losses else evaluate_loss(model, val_w)
-        results.append(SweepResult(point=point, val_loss=float(val_loss),
+        train_epochs(model, train_w[:max_windows], tcfg, epochs, seed=seed)
+        results.append(SweepResult(point=point,
+                                   val_loss=float(evaluate_loss(model, val_w)),
                                    param_count=model.param_count()))
     return rank_results(results)

@@ -1,15 +1,21 @@
-"""Transports: in-process queues for simulation, stream sockets for deployment.
+"""Transports: length-framed messages over stream sockets, paired inside one
+process for simulation or over TCP for deployment.
 
-Both sides of either transport expose the same endpoint interface:
+Every endpoint is a :class:`SocketEndpoint`:
 
-* ``send(message) -> int`` — encode one message, deliver the frame, return
-  its byte length (also added to ``bytes_sent``).
+* ``send(message) -> int`` — encode one message, write the frame, return
+  its byte length (also added to ``bytes_sent``); TransportError once the
+  peer has closed.
 * ``recv(timeout=None) -> message | None`` — next decoded message; ``None``
-  once the peer has closed; TransportError on timeout.
+  once the peer has closed; TransportError on timeout.  A header announcing
+  more than ``max_payload`` bytes raises WireError before any payload is read.
 * ``close()`` — idempotent.
 
-Byte counters measure real encoded frames, so traffic accounting is the
-same whether a federation runs in one process or across machines.
+Only the rendezvous differs: :class:`InProcessHub` queues the server ends of
+``socket.socketpair()`` connections for an accept loop, :class:`SocketServer`
+accepts TCP connections.  So both transports share the frame bound, the
+failure handling and the byte counters, and traffic accounting is the same
+whether a federation runs in one process or across machines.
 """
 
 import queue
@@ -23,103 +29,17 @@ from .wire import HEADER_SIZE, decode_frame, encode_frame, read_frame
 _CLOSE = object()
 
 
-class _CountingEndpoint:
-    max_payload = None  # socket recv bound; owners set wire.max_payload_size
-
-    def __init__(self):
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def send(self, message):
-        frame = encode_frame(message)
-        self._deliver(frame)
-        self.bytes_sent += len(frame)
-        return len(frame)
-
-    def recv(self, timeout=None):
-        frame = self._collect(timeout)
-        if frame is None:
-            return None
-        self.bytes_received += len(frame)
-        return decode_frame(frame)
-
-
-class QueueEndpoint(_CountingEndpoint):
-    """One side of an in-process connection; frames travel over queues."""
-
-    def __init__(self, outbox, inbox):
-        super().__init__()
-        self._outbox = outbox
-        self._inbox = inbox
-        self._closed = False
-
-    def _deliver(self, frame):
-        if self._closed:
-            raise TransportError("endpoint is closed")
-        self._outbox.put(frame)
-
-    def _collect(self, timeout):
-        if self._closed:
-            return None
-        try:
-            frame = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(f"receive timed out after {timeout}s") from None
-        if frame is _CLOSE:
-            self._inbox.put(_CLOSE)  # keep further recv() calls returning None
-            return None
-        return frame
-
-    def close(self):
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(_CLOSE)  # peer's recv() drains to None
-            self._inbox.put(_CLOSE)   # our own blocked recv() unblocks too
-
-
-class InProcessHub:
-    """Rendezvous point connecting client endpoints to an accept loop."""
-
-    def __init__(self):
-        self._pending = queue.Queue()
-        self._closed = False
-
-    def connect(self):
-        """Create a connected endpoint pair; returns the client side."""
-        if self._closed:
-            raise TransportError("hub is closed")
-        c2s, s2c = queue.Queue(), queue.Queue()
-        client = QueueEndpoint(outbox=c2s, inbox=s2c)
-        server = QueueEndpoint(outbox=s2c, inbox=c2s)
-        self._pending.put(server)
-        return client
-
-    def accept(self, timeout=None):
-        """Server side: next freshly connected endpoint."""
-        try:
-            conn = self._pending.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(f"accept timed out after {timeout}s") from None
-        if conn is _CLOSE:
-            self._pending.put(_CLOSE)
-            return None
-        return conn
-
-    def close(self):
-        self._closed = True
-        self._pending.put(_CLOSE)
-
-
-# -- stream sockets ----------------------------------------------------------
-
-class SocketEndpoint(_CountingEndpoint):
+class SocketEndpoint:
     """Length-framed messages over a connected stream socket."""
 
+    max_payload = None  # recv bound; owners set wire.max_payload_size
+
     def __init__(self, sock):
-        super().__init__()
         self._sock = sock
         self._send_lock = threading.Lock()
         self._closed = False
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     def _read_exact(self, n):
         chunks = []
@@ -137,19 +57,26 @@ class SocketEndpoint(_CountingEndpoint):
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def _deliver(self, frame):
+    def send(self, message):
+        frame = encode_frame(message)
         with self._send_lock:
             try:
                 self._sock.sendall(frame)
             except OSError as e:
                 raise TransportError(f"socket send failed: {e}") from None
+        self.bytes_sent += len(frame)
+        return len(frame)
 
-    def _collect(self, timeout):
+    def recv(self, timeout=None):
         try:
             self._sock.settimeout(timeout)
         except OSError:
             return None  # closed underneath us
-        return read_frame(self._read_exact, self.max_payload)
+        frame = read_frame(self._read_exact, self.max_payload)
+        if frame is None:
+            return None
+        self.bytes_received += len(frame)
+        return decode_frame(frame)
 
     def close(self):
         if not self._closed:
@@ -160,6 +87,57 @@ class SocketEndpoint(_CountingEndpoint):
                 pass
             self._sock.close()
 
+
+class QueueEndpoint(SocketEndpoint):
+    """Defines nothing: a name kept only because perfbench/tracing.py wraps
+    ``QueueEndpoint.send``/``recv``.  It goes with the outside-in tracer
+    (ROADMAP item 2).  Nothing in fedvib creates one."""
+
+
+class InProcessHub:
+    """Rendezvous point handing the server ends of socket pairs to an
+    accept loop."""
+
+    def __init__(self):
+        self._pending = queue.Queue()
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def connect(self):
+        """Create a connected socket pair; returns the client side."""
+        with self._lock:
+            if self._closed:
+                raise TransportError("hub is closed")
+            client, server = socket.socketpair()
+            self._pending.put(SocketEndpoint(server))
+        return SocketEndpoint(client)
+
+    def accept(self, timeout=None):
+        """Server side: next freshly connected endpoint; None once closed."""
+        try:
+            conn = self._pending.get(timeout=timeout)
+        except queue.Empty:
+            raise TransportError(f"accept timed out after {timeout}s") from None
+        if conn is _CLOSE:
+            self._pending.put(_CLOSE)
+            return None
+        return conn
+
+    def close(self):
+        """Refuse further connects and close every server end not accepted."""
+        with self._lock:
+            self._closed = True
+            while True:
+                try:
+                    conn = self._pending.get_nowait()
+                except queue.Empty:
+                    break
+                if conn is not _CLOSE:
+                    conn.close()
+            self._pending.put(_CLOSE)
+
+
+# -- TCP ---------------------------------------------------------------------
 
 class SocketServer:
     """Listening socket that yields SocketEndpoints from accept()."""

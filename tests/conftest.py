@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedvib.model import AutoencoderConfig, build_autoencoder
+from fedvib.proto import InProcessHub
 
 
 def sine_windows(n, window_size=20, features=1, seed=0, noise=0.05):
@@ -110,3 +111,33 @@ def tiny_config():
 @pytest.fixture
 def tiny_model(tiny_config):
     return build_autoencoder(tiny_config, seed=7)
+
+
+class _ClosingHub(InProcessHub):
+    """An InProcessHub that remembers every endpoint it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.handed_out = []
+
+    def connect(self):
+        endpoint = super().connect()
+        self.handed_out.append(endpoint)
+        return endpoint
+
+    def accept(self, timeout=None):
+        endpoint = super().accept(timeout)
+        if endpoint is not None:
+            self.handed_out.append(endpoint)
+        return endpoint
+
+
+@pytest.fixture
+def hub():
+    """An in-process hub; when the test ends it closes, and so does every
+    endpoint it handed out from either side."""
+    h = _ClosingHub()
+    yield h
+    h.close()
+    for endpoint in h.handed_out:
+        endpoint.close()

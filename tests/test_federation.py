@@ -1,6 +1,7 @@
 """End-to-end federation tests over both transports, plus node/aggregator
 edge cases driven through scripted endpoints."""
 
+import os
 import struct
 import threading
 import time
@@ -39,7 +40,6 @@ from fedvib.proto import (
     DeltaSubmission,
     Error,
     GlobalModel,
-    InProcessHub,
     ModelWeights,
     Register,
     TrainingNode,
@@ -198,6 +198,7 @@ class _LingeringNode(TrainingNode):
 @pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
 def test_no_thread_outlives_the_launcher(transport, failing):
     before = set(threading.enumerate())
+    fds_before = len(os.listdir("/proc/self/fd"))
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=20.0, round_timeout_s=60.0)
     # a window schedule of 0 makes n2's training raise in round 0
@@ -212,6 +213,7 @@ def test_no_thread_outlives_the_launcher(transport, failing):
         _, results = run_nodes(agg, nodes, transport)
         assert list(results) == ["n1", "n2"]
     assert set(threading.enumerate()) - before == set()
+    assert len(os.listdir("/proc/self/fd")) == fds_before  # no endpoint left open
 
 
 # -- scripted edge cases -----------------------------------------------------
@@ -235,8 +237,7 @@ def _start_aggregator(agg, listener):
     return t, box
 
 
-def test_late_registrant_gets_current_model_and_joins_next_round():
-    hub = InProcessHub()
+def test_late_registrant_gets_current_model_and_joins_next_round(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -280,8 +281,7 @@ def test_late_registrant_gets_current_model_and_joins_next_round():
     assert records[1].late_submissions == 0
 
 
-def test_duplicate_client_id_rejected():
-    hub = InProcessHub()
+def test_duplicate_client_id_rejected(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -308,8 +308,7 @@ def test_duplicate_client_id_rejected():
     assert box["records"][0].client_ids == ["a", "b"]
 
 
-def test_round_timeout_aborts_without_partial_aggregation():
-    hub = InProcessHub()
+def test_round_timeout_aborts_without_partial_aggregation(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=0.4)
     t, box = _start_aggregator(agg, hub)
@@ -329,8 +328,7 @@ def test_round_timeout_aborts_without_partial_aggregation():
     assert agg.records == []  # no per-round record for an aborted round
 
 
-def test_registration_timeout_aborts():
-    hub = InProcessHub()
+def test_registration_timeout_aborts(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=0.3, round_timeout_s=5.0)
     t, box = _start_aggregator(agg, hub)
@@ -342,8 +340,7 @@ def test_registration_timeout_aborts():
     assert "1 of 2" in str(box["error"])
 
 
-def test_mid_round_disconnect_aborts():
-    hub = InProcessHub()
+def test_mid_round_disconnect_aborts(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -360,10 +357,9 @@ def test_mid_round_disconnect_aborts():
     assert isinstance(box.get("error"), RoundAbortError)
 
 
-def _abort_on_bad_delta(bad_delta):
+def _abort_on_bad_delta(hub, bad_delta):
     """b submits a good delta, a a bad one: every client must get an abort
     frame and the global model must stay as it was."""
-    hub = InProcessHub()
     init = global_init()
     agg = AggregationNode(init, expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
@@ -385,23 +381,23 @@ def _abort_on_bad_delta(bad_delta):
     assert agg.records == []
 
 
-def test_non_finite_delta_aborts_round():
+def test_non_finite_delta_aborts_round(hub):
     def nan_delta(weights):
         delta = _zero_delta(weights, 0)
         next(iter(delta.tensors.values())).flat[0] = np.nan
         return delta
 
-    _abort_on_bad_delta(nan_delta)
+    _abort_on_bad_delta(hub, nan_delta)
 
 
-def test_mismatched_delta_layout_aborts_round():
+def test_mismatched_delta_layout_aborts_round(hub):
     def short_delta(weights):
         tensors = _zero_delta(weights, 0).tensors
         first = next(iter(tensors))
         tensors[first] = tensors[first][:-1]
         return WeightDelta(tensors, base_round=0)
 
-    _abort_on_bad_delta(short_delta)
+    _abort_on_bad_delta(hub, short_delta)
 
 
 # -- departures, re-registration and shutdown -------------------------------
@@ -434,8 +430,7 @@ def _submit_round(eps, models, r):
     return nxt
 
 
-def test_late_joiner_that_leaves_is_not_expected_next_round():
-    hub = InProcessHub()
+def test_late_joiner_that_leaves_is_not_expected_next_round(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -454,8 +449,7 @@ def test_late_joiner_that_leaves_is_not_expected_next_round():
     assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["a", "b"]]
 
 
-def test_second_register_on_a_connection_is_refused():
-    hub = InProcessHub()
+def test_second_register_on_a_connection_is_refused(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -477,8 +471,7 @@ def test_second_register_on_a_connection_is_refused():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_global_model_is_never_broadcast():
-    hub = InProcessHub()
+def test_overflowing_global_model_is_never_broadcast(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=3,
                           registration_timeout_s=5.0, round_timeout_s=5.0)
     t, box = _start_aggregator(agg, hub)
@@ -504,8 +497,7 @@ def test_overflowing_global_model_is_never_broadcast():
     assert len(agg.records) == 1
 
 
-def test_registration_timeout_tells_registered_clients():
-    hub = InProcessHub()
+def test_registration_timeout_tells_registered_clients(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=0.3, round_timeout_s=5.0)
     t, box = _start_aggregator(agg, hub)
@@ -537,8 +529,7 @@ def test_unregistered_socket_is_closed_when_run_returns():
         a.close()
 
 
-def test_early_delta_of_a_departed_client_is_discarded():
-    hub = InProcessHub()
+def test_early_delta_of_a_departed_client_is_discarded(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -556,8 +547,7 @@ def test_early_delta_of_a_departed_client_is_discarded():
     assert rec.client_ids == ["b", "c"] and rec.late_submissions == 0
 
 
-def test_failed_send_drops_only_that_peer():
-    hub = InProcessHub()
+def test_failed_send_drops_only_that_peer(hub):
     accepted = []
 
     class Listener:
@@ -590,13 +580,17 @@ def test_failed_send_drops_only_that_peer():
     assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["a"]]
 
 
-def test_oversized_frame_is_refused_before_its_payload():
-    listener = serve_sockets()
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_oversized_frame_is_refused_before_its_payload(hub, transport):
+    listener = hub if transport == "in_process" else serve_sockets()
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, listener)
-    a = connect_socket("127.0.0.1", listener.port)
-    b = connect_socket("127.0.0.1", listener.port)
+    if transport == "in_process":
+        a, b = hub.connect(), hub.connect()
+    else:
+        a = connect_socket("127.0.0.1", listener.port)
+        b = connect_socket("127.0.0.1", listener.port)
     try:
         for cid, ep in (("a", a), ("b", b)):
             ep.send(Register(cid))
@@ -617,16 +611,30 @@ def test_oversized_frame_is_refused_before_its_payload():
         b.close()
 
 
+def test_in_process_send_to_a_closed_peer_fails(hub):
+    client = hub.connect()
+    hub.accept(timeout=5.0).close()
+    with pytest.raises(TransportError, match="send failed"):
+        client.send(Register("a"))
+
+
+def test_closing_the_hub_closes_unaccepted_connections(hub):
+    client = hub.connect()
+    hub.close()
+    assert client.recv(timeout=5.0) is None
+    with pytest.raises(TransportError, match="hub is closed"):
+        hub.connect()
+
+
 # -- scripted node behavior --------------------------------------------------
 
-def _scripted_node(config, train_windows=None, val_windows=None):
+def _scripted_node(hub, config, train_windows=None, val_windows=None):
     """Run a TrainingNode against a hand-driven server endpoint."""
     rng = np.random.default_rng(0)
     if train_windows is None:
         train_windows = rng.normal(size=(10, ACFG.window_size, 1)).astype(np.float32)
     if val_windows is None:
         val_windows = rng.normal(size=(4, ACFG.window_size, 1)).astype(np.float32)
-    hub = InProcessHub()
     client = hub.connect()
     server = hub.accept(timeout=5.0)
     node = TrainingNode(config, train_windows, val_windows)
@@ -656,16 +664,16 @@ def test_node_config_rejects_unknown_modes(field):
         _node_config(**{field: "bogus"})
 
 
-def test_node_raises_on_round_abort_error():
-    server, t, box = _scripted_node(_node_config())
+def test_node_raises_on_round_abort_error(hub):
+    server, t, box = _scripted_node(hub, _node_config())
     assert isinstance(server.recv(timeout=5.0), Register)
     server.send(Error(code=ERR_ROUND_ABORT, text="round 0: no delta from ['m']"))
     t.join(timeout=10.0)
     assert isinstance(box.get("error"), RoundAbortError)
 
 
-def test_node_raises_on_rejection():
-    server, t, box = _scripted_node(_node_config())
+def test_node_raises_on_rejection(hub):
+    server, t, box = _scripted_node(hub, _node_config())
     server.recv(timeout=5.0)
     server.send(Error(code=ERR_DUPLICATE_ID, text="client id 'n' already registered"))
     t.join(timeout=10.0)
@@ -673,8 +681,8 @@ def test_node_raises_on_rejection():
     assert not isinstance(box.get("error"), RoundAbortError)
 
 
-def test_node_raises_when_closed_before_final_model():
-    server, t, box = _scripted_node(_node_config())
+def test_node_raises_when_closed_before_final_model(hub):
+    server, t, box = _scripted_node(hub, _node_config())
     server.recv(timeout=5.0)
     server.send(GlobalModel(round=0, weights=global_init()))
     sub = server.recv(timeout=10.0)
@@ -684,10 +692,10 @@ def test_node_raises_when_closed_before_final_model():
     assert isinstance(box.get("error"), ProtocolError)
 
 
-def test_node_window_schedule_limits_training_data():
+def test_node_window_schedule_limits_training_data(hub):
     schedule = [4, 8, 12]
     cfg = _node_config(rounds=3, window_schedule=lambda r: schedule[r])
-    server, t, box = _scripted_node(cfg)
+    server, t, box = _scripted_node(hub, cfg)
     server.recv(timeout=5.0)
     weights = global_init()
     seen = []
@@ -703,7 +711,7 @@ def test_node_window_schedule_limits_training_data():
     assert [s.windows_trained for s in box["result"].round_stats] == [4, 8, 10]
 
 
-def test_node_round_scores_each_validation_window_once(monkeypatch):
+def test_node_round_scores_each_validation_window_once(hub, monkeypatch):
     reconstructed = []
     original = LstmAutoencoder.reconstruct
 
@@ -714,7 +722,7 @@ def test_node_round_scores_each_validation_window_once(monkeypatch):
     monkeypatch.setattr(LstmAutoencoder, "reconstruct", counting)
     rounds = 3
     val = np.random.default_rng(1).normal(size=(5, ACFG.window_size, 1)).astype(np.float32)
-    server, t, box = _scripted_node(_node_config(rounds=rounds), val_windows=val)
+    server, t, box = _scripted_node(hub, _node_config(rounds=rounds), val_windows=val)
     server.recv(timeout=5.0)
     weights = global_init()
     for r in range(rounds + 1):

@@ -7,7 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from fedvib.data import SynthConfig, generate_synthetic
+from fedvib.data import (
+    SynthConfig,
+    chronological_split,
+    generate_synthetic,
+    windows_for_batches,
+)
 from fedvib.errors import ConfigError, IngestionError, ShapeError, WireError
 from fedvib.harness import (
     DatasetSpec,
@@ -32,7 +37,12 @@ from fedvib.harness import (
     sweep_hyperparameters,
 )
 from fedvib.harness.sweep import SweepPoint, SweepResult
-from fedvib.model import AutoencoderConfig
+from fedvib.model import (
+    AutoencoderConfig,
+    LstmAutoencoder,
+    build_autoencoder,
+    train_epochs,
+)
 from fedvib.nn import TrainConfig
 from fedvib.proto import Ack, encode_frame
 
@@ -478,7 +488,8 @@ def test_rank_results_orders_by_loss_then_size():
         (0.2, 400), (0.2, 5000), (0.5, 900)]
 
 
-def test_sweep_trains_and_ranks_deterministically():
+def _sweep_case():
+    """A small dataset and a four-point grid that trains in well under a second."""
     data = generate_synthetic(
         SynthConfig(n_batches=16, batch_len=80, sampling_rate_hz=1000.0,
                     feature_count=1, base_frequencies=(50.0,),
@@ -486,6 +497,11 @@ def test_sweep_trains_and_ranks_deterministically():
     space = [SweepPoint(batch_size=16, window_size=10, outer_size=o,
                         n_layers=1, encoding_size=2, learning_rate=lr)
              for o in (3, 6) for lr in (1e-2, 1e-3)]
+    return data, space
+
+
+def test_sweep_trains_and_ranks_deterministically():
+    data, space = _sweep_case()
     ranked = sweep_hyperparameters(data, budget=3, seed=2, epochs=2, space=space)
     again = sweep_hyperparameters(data, budget=3, seed=2, epochs=2, space=space)
     assert len(ranked) == 3
@@ -496,3 +512,27 @@ def test_sweep_trains_and_ranks_deterministically():
     single = sweep_hyperparameters(data, budget=1, seed=0, epochs=0, space=space)
     assert len(single) == 1
     assert single[0].point in space
+
+
+def test_sweep_scores_validation_once_per_point(monkeypatch):
+    data, space = _sweep_case()
+    passes = []
+    original = LstmAutoencoder.reconstruct
+
+    def counting(self, windows):
+        passes.append(len(windows))
+        return original(self, windows)
+
+    monkeypatch.setattr(LstmAutoencoder, "reconstruct", counting)
+    ranked = sweep_hyperparameters(data, budget=2, seed=2, epochs=3, space=space)
+    assert len(passes) == len(ranked) == 2  # not one pass per epoch
+
+    # the loss equals what training reports for its last epoch
+    train_b, val_b, _ = chronological_split(data)
+    for r in ranked:
+        train_w, _ = windows_for_batches(train_b, r.point.window_size)
+        val_w, _ = windows_for_batches(val_b, r.point.window_size)
+        model = build_autoencoder(r.point.autoencoder_config(1), seed=2)
+        out = train_epochs(model, train_w[:256], r.point.train_config(), 3,
+                           val_windows=val_w, seed=2)
+        assert r.val_loss == float(out.val_losses[-1])
