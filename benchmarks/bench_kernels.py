@@ -11,28 +11,31 @@ import time
 
 import numpy as np
 
+from fedvib.nn import LstmLayer, LstmPair
 from fedvib.nn.kernels import lstm_backward, lstm_forward
 
-# Layer shapes the perfbench workloads run: the encoder layers of the C5 model
-# (3->4, 4->2) and of the wide model (3->128, 128->16), in training minibatches
-# of 64 and scoring batches of 8.
+# Stacked layer pairs of the perfbench models: the C5 model's encoder (3->4,
+# 4->2) and decoder (2->2, 2->4), and the wide model's (3->128, 128->16 and
+# 16->16, 16->128), in training minibatches of 64 and scoring batches of 8.
+# Each pair is timed as its two layers one by one and as the one combined
+# recurrence of T+1 steps that fedvib.nn.LstmPair runs; the model pairs only
+# the C5 layers (fedvib.model.PAIR_MAX_WIDTHS).
+PAIRS = [(3, 4, 2), (2, 2, 4), (3, 128, 16), (16, 16, 128)]
 SHAPES = [
-    # (label, T, B, I, H)
-    ("3->4    (t=100, b=64)", 100, 64, 3, 4),
-    ("3->4    (t=100, b=8)", 100, 8, 3, 4),
-    ("4->2    (t=100, b=64)", 100, 64, 4, 2),
-    ("3->128  (t=100, b=64)", 100, 64, 3, 128),
-    ("3->128  (t=100, b=8)", 100, 8, 3, 128),
-    ("128->16 (t=100, b=64)", 100, 64, 128, 16),
+    # (label, T, B, widths): widths (I, H) is one layer, (I, Ha, Hb) a pair
+    (f"{'->'.join(map(str, widths))} (t=100, b={B})", 100, B, widths)
+    for I, Ha, Hb in PAIRS for B in (64, 8)
+    for widths in ((I, Ha), (Ha, Hb), (I, Ha, Hb))
 ]
 
 
-def make_case(rng, T, B, I, H, dtype):
-    x = rng.normal(size=(T, B, I)).astype(dtype)
-    W = (rng.normal(size=(4 * H, I)) * 0.1).astype(dtype)
-    U = (rng.normal(size=(4 * H, H)) * 0.1).astype(dtype)
-    b = np.zeros(4 * H, dtype)
-    return x, W, U, b
+def make_case(rng, T, B, widths, dtype):
+    """Kernel arguments (x, W, U, b) of one layer or of a pair's recurrence."""
+    x = rng.normal(size=(T, B, widths[0])).astype(dtype)
+    layers = [LstmLayer(i, h, rng, dtype=dtype) for i, h in zip(widths, widths[1:])]
+    if len(layers) == 1:
+        return x, layers[0].W, layers[0].U, layers[0].b
+    return LstmPair(*layers).combined(x)
 
 
 def time_call(fn, args, repeat):
@@ -60,8 +63,8 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
 
-    for label, T, B, I, H in SHAPES:
-        x, W, U, b = make_case(rng, T, B, I, H, dtype)
+    for label, T, B, widths in SHAPES:
+        x, W, U, b = make_case(rng, T, B, widths, dtype)
         # warm-up keeps first-call and cache effects out of the timings
         h, c, gates = lstm_forward(x, W, U, b)
         d_h = rng.normal(size=h.shape).astype(dtype)

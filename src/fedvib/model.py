@@ -5,6 +5,15 @@ final LSTM whose last hidden state is the encoding, the encoding repeated over
 the window length, mirrored LSTM layers returning sequences, and a linear
 per-timestep dense output.  ReLU sits only between stacked outer LSTM layers;
 the output stays linear because vibration samples are signed.
+
+Two stacked layers with nothing between them run as one recurrence
+(:class:`~fedvib.nn.LstmPair`): the last outer encoder layer with ``code``,
+and ``dec0`` with ``dec1``.  A ReLU between two layers breaks such a pair,
+because the combined recurrence feeds A's hidden state straight into B.  The
+pairing halves the time loops the narrow layers pay for in per-step calls;
+on wide layers the steps are GEMM-bound and the combined matrices only add
+work, so layers whose widths multiply to more than ``PAIR_MAX_WIDTHS`` run one
+by one.  Parameter names, order and shapes are the same either way.
 """
 
 from dataclasses import dataclass
@@ -17,6 +26,7 @@ from .nn import (
     AdamState,
     DenseLayer,
     LstmLayer,
+    LstmPair,
     adam_step,
     apply_weight_delta,
     check_finite,
@@ -37,6 +47,12 @@ THRESHOLD_FLOOR_MARGIN = 1e-9
 # windows per forward pass when no gradient follows: bounds the peak of the
 # caches each forward returns, which are dropped chunk by chunk
 RECONSTRUCT_CHUNK = 256
+# Largest Ha * Hb of two stacked layers that run as one recurrence.  Whole
+# model, T=100, float32, 1 BLAS thread, paired against unpaired: up to 1024 a
+# training step (B=64) is 1.0-1.3x and a scoring batch (B=8) 1.4-1.9x as fast;
+# at 2048 (the default 3->128->16 model) training drops to 0.97x, because the
+# combined recurrent GEMMs also multiply the zero block beside Ua.
+PAIR_MAX_WIDTHS = 1024
 
 
 @dataclass
@@ -103,9 +119,15 @@ class LstmAutoencoder:
             prev = s
         self._layers["out"] = DenseLayer(prev, F, rng, dtype=self.dtype)
 
-        n_outer = len(outer)
-        self._enc_relu = [i < n_outer - 1 for i in range(n_outer)]
-        self._dec_relu = [1 <= j < len(dec_sizes) - 1 for j in range(len(dec_sizes))]
+        # (layer names, layer or pair, returns sequences, ReLU after) in
+        # forward order; a stage that returns its last step only is the code
+        n = len(outer)
+        self._stages = [((f"enc{i}",), self._layers[f"enc{i}"], True, True)
+                        for i in range(n - 1)]
+        self._stages += self._stack(f"enc{n - 1}", "code", False, False)
+        self._stages += self._stack("dec0", "dec1", True, n > 1)
+        self._stages += [((f"dec{j}",), self._layers[f"dec{j}"], True, j < n)
+                         for j in range(2, n + 1)]
         self._params = {f"{name}.{pname}": arr
                         for name, layer in self._layers.items()
                         for pname, arr in layer.params().items()}
@@ -145,61 +167,49 @@ class LstmAutoencoder:
         xt = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=self.dtype)
         T, B, _ = xt.shape
 
-        caches = {}
+        caches = []
         h = xt
-        for i in range(len(cfg.outer_layer_sizes)):
-            name = f"enc{i}"
-            h, caches[name] = self._layers[name].forward(h, return_sequences=True)
-            if self._enc_relu[i]:
-                caches[name + ".pre"] = h
-                h = relu(h)
-        code, caches["code"] = self._layers["code"].forward(h, return_sequences=False)
+        for _, stage, sequences, relu_after in self._stages:
+            h, cache = stage.forward(h, return_sequences=sequences)
+            pre = None
+            if relu_after:
+                pre, h = h, relu(h)
+            caches.append((cache, pre))
+            if not sequences:  # the code, repeated over the window
+                h = np.ascontiguousarray(np.broadcast_to(h, (T,) + h.shape))
+        y, out_cache = self._layers["out"].forward(h)
+        return np.ascontiguousarray(y.transpose(1, 0, 2)), (caches, out_cache)
 
-        h = np.ascontiguousarray(np.broadcast_to(code, (T,) + code.shape))
-        for j in range(len(self._dec_relu)):
-            name = f"dec{j}"
-            h, caches[name] = self._layers[name].forward(h, return_sequences=True)
-            if self._dec_relu[j]:
-                caches[name + ".pre"] = h
-                h = relu(h)
-        y, caches["out"] = self._layers["out"].forward(h)
-        return np.ascontiguousarray(y.transpose(1, 0, 2)), caches
-
-    def backward(self, d_recon, caches):
+    def backward(self, d_recon, cache):
         """Gradient of a scalar loss w.r.t. every parameter.
 
         ``d_recon`` is the loss gradient w.r.t. the [B, T, F] reconstruction
-        of the ``forward`` call that returned ``caches``.
+        of the ``forward`` call that returned ``cache``.
         """
-        grads = {}
-
+        caches, out_cache = cache
         d = np.ascontiguousarray(d_recon.transpose(1, 0, 2), dtype=self.dtype)
-        d, g = self._layers["out"].backward(d, caches["out"])
-        self._store(grads, "out", g)
+        d, grads = self._layers["out"].backward(d, out_cache)
+        grads = {f"out.{k}": v for k, v in grads.items()}
 
-        for j in reversed(range(len(self._dec_relu))):
-            name = f"dec{j}"
-            if self._dec_relu[j]:
-                d = relu_grad(d, caches[name + ".pre"])
-            d, g = self._layers[name].backward(d, caches[name], return_sequences=True)
-            self._store(grads, name, g)
-
-        d_code = d.sum(axis=0, dtype=self.dtype)
-        d, g = self._layers["code"].backward(d_code, caches["code"], return_sequences=False)
-        self._store(grads, "code", g)
-
-        for i in reversed(range(len(self.config.outer_layer_sizes))):
-            name = f"enc{i}"
-            if self._enc_relu[i]:
-                d = relu_grad(d, caches[name + ".pre"])
-            d, g = self._layers[name].backward(d, caches[name], return_sequences=True)
-            self._store(grads, name, g)
+        for (names, stage, sequences, _), (layer_cache, pre) in zip(
+                reversed(self._stages), reversed(caches)):
+            if not sequences:
+                d = d.sum(axis=0, dtype=self.dtype)
+            if pre is not None:
+                d = relu_grad(d, pre)
+            d, *layer_grads = stage.backward(d, layer_cache, return_sequences=sequences)
+            for name, g in zip(names, layer_grads, strict=True):
+                grads.update((f"{name}.{k}", v) for k, v in g.items())
 
         return {k: grads[k] for k in self._params}
 
-    def _store(self, grads, name, layer_grads):
-        for pname, arr in layer_grads.items():
-            grads[f"{name}.{pname}"] = arr
+    def _stack(self, lower, upper, sequences, relu_after):
+        """Stages for layer ``upper`` stacked on ``lower``: one pair, or the
+        two layers one by one when they are too wide to gain from pairing."""
+        A, B = self._layers[lower], self._layers[upper]
+        if A.hidden_size * B.hidden_size <= PAIR_MAX_WIDTHS:
+            return [((lower, upper), LstmPair(A, B), sequences, relu_after)]
+        return [((lower,), A, True, False), ((upper,), B, sequences, relu_after)]
 
     def reconstruct(self, windows):
         """Reconstruction for [N, T, F] windows; each chunk's caches are

@@ -1,6 +1,6 @@
 """From-scratch neural network core: LSTM/dense layers, losses, Adam."""
 
-from .layers import DenseLayer, LstmLayer, glorot_uniform
+from .layers import DenseLayer, LstmLayer, LstmPair, glorot_uniform
 from .ops import (
     apply_weight_delta,
     check_finite,
@@ -23,6 +23,7 @@ __all__ = [
     "AdamState",
     "DenseLayer",
     "LstmLayer",
+    "LstmPair",
     "TrainConfig",
     "adam_step",
     "apply_weight_delta",

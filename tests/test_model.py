@@ -189,6 +189,39 @@ def test_model_gradients_match_finite_differences_relu_path():
     assert max_abs < 1e-6
 
 
+def test_stacked_layers_without_relu_between_run_as_pairs(monkeypatch):
+    cfg = AutoencoderConfig(feature_count=2, window_size=6, outer_layer_sizes=(4, 3),
+                            encoding_size=2)
+    model = build_autoencoder(cfg, seed=2, dtype=np.float64)
+    rng = np.random.default_rng(4)
+    for name, arr in model.param_refs().items():
+        if name.endswith(".b"):
+            arr += rng.standard_normal(arr.shape)
+    assert [names for names, *_ in model._stages] == [
+        ("enc0",), ("enc1", "code"), ("dec0", "dec1"), ("dec2",)]
+
+    monkeypatch.setattr("fedvib.model.PAIR_MAX_WIDTHS", 0)
+    reference = build_autoencoder(cfg, seed=2, dtype=np.float64)
+    reference.set_weights_dict(model.weights_dict())
+    assert [names for names, *_ in reference._stages] == [
+        ("enc0",), ("enc1",), ("code",), ("dec0",), ("dec1",), ("dec2",)]
+
+    x = sine_windows(3, 6, 2, seed=6).astype(np.float64)
+    recon, want_recon = model.forward(x)[0], reference.forward(x)[0]
+    np.testing.assert_allclose(recon, want_recon, rtol=1e-12, atol=1e-15)
+    grads, want = _analytic_grads(model, x), _analytic_grads(reference, x)
+    assert list(grads) == list(want)
+    for k in want:
+        np.testing.assert_allclose(grads[k], want[k], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want[k]).max(), err_msg=k)
+
+
+def test_wide_stacked_layers_run_one_by_one():
+    model = build_autoencoder(AutoencoderConfig(feature_count=3), seed=0)
+    assert [names for names, *_ in model._stages] == [
+        ("enc0",), ("code",), ("dec0",), ("dec1",)]
+
+
 def test_l2_regularization_gradient_is_two_lambda_w():
     cfg = AutoencoderConfig(feature_count=1, window_size=5, outer_layer_sizes=(4,),
                             encoding_size=2)

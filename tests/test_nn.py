@@ -15,6 +15,7 @@ from fedvib.nn import (
     AdamState,
     DenseLayer,
     LstmLayer,
+    LstmPair,
     TrainConfig,
     adam_step,
     apply_weight_delta,
@@ -23,6 +24,7 @@ from fedvib.nn import (
     decayed_lr,
     global_grad_norm,
     glorot_uniform,
+    kernels,
     mse_grad,
     mse_loss,
     relu,
@@ -325,6 +327,53 @@ def test_lstm_layer_gradients_match_finite_differences():
         down = loss()
         x[idx] = keep
         assert dx[idx] == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-8)
+
+
+def _stacked_layers(dtype, I, Ha, Hb, seed, bias_scale=2.0):
+    """Layer B (Ha -> Hb) on layer A (I -> Ha), with biases far from their
+    initial values, as training leaves them."""
+    rng = np.random.default_rng(seed)
+    lower = LstmLayer(I, Ha, rng, dtype=dtype)
+    upper = LstmLayer(Ha, Hb, rng, dtype=dtype)
+    for layer in (lower, upper):
+        layer.b += (rng.standard_normal(layer.b.shape) * bias_scale).astype(dtype)
+    return lower, upper, rng
+
+
+# return_sequences=False is the encoder pair (A, code), True the decoder pair
+@pytest.mark.parametrize("return_sequences", [False, True])
+@pytest.mark.parametrize("I,Ha,Hb", [(3, 4, 2), (2, 2, 4), (1, 1, 1), (4, 5, 3)])
+def test_lstm_pair_matches_the_layers_one_by_one(I, Ha, Hb, return_sequences):
+    lower, upper, rng = _stacked_layers(np.float64, I, Ha, Hb, seed=I * 100 + Ha * 10 + Hb)
+    T, B = 7, 5
+    x = rng.standard_normal((T, B, I))
+    d_out = rng.standard_normal((T, B, Hb) if return_sequences else (B, Hb))
+
+    mid, cache_a = lower.forward(x)
+    ref, cache_b = upper.forward(mid, return_sequences=return_sequences)
+    d_mid, ref_b = upper.backward(d_out, cache_b, return_sequences=return_sequences)
+    ref_dx, ref_a = lower.backward(d_mid, cache_a)
+
+    pair = LstmPair(lower, upper)
+    out, cache = pair.forward(x, return_sequences=return_sequences)
+    dx, grads_a, grads_b = pair.backward(d_out, cache, return_sequences=return_sequences)
+    checks = [(out, ref), (dx, ref_dx)] + [
+        (got[k], want[k]) for got, want in ((grads_a, ref_a), (grads_b, ref_b))
+        for k in ("W", "U", "b")]
+    for got, want in checks:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_lstm_pair_upper_state_is_zero_after_step_0():
+    # B runs one step behind A, so its first combined step must leave exactly
+    # the zero initial state of a single layer, whatever its bias
+    lower, upper, rng = _stacked_layers(np.float32, 3, 4, 2, seed=3, bias_scale=30.0)
+    x = rng.standard_normal((5, 8, 3)).astype(np.float32)
+    h, c, _ = kernels.lstm_forward(*LstmPair(lower, upper).combined(x))
+    assert h.dtype == np.float32
+    assert not h[0, :, 4:].any() and not c[0, :, 4:].any()
+    assert h[1, :, 4:].all()
 
 
 def test_dense_known_affine():
