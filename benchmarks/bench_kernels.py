@@ -1,7 +1,11 @@
 """Timing harness for the LSTM recurrence kernels.
 
-Runs the forward and backward kernels on representative shapes and prints
-the best per-call time of each.  Run directly:
+Runs each LSTM layer and each stacked pair of the perfbench models through
+the calls the model makes, ``forward`` and ``backward`` of
+``fedvib.nn.LstmLayer`` and ``fedvib.nn.LstmPair``, and prints the best
+per-call time of each.  A pair's time so includes building its combined
+arrays and splitting its gradients, around the one kernel call.  Run
+directly:
 
     python benchmarks/bench_kernels.py [--repeat N] [--dtype float32]
 """
@@ -12,30 +16,31 @@ import time
 import numpy as np
 
 from fedvib.nn import LstmLayer, LstmPair
-from fedvib.nn.kernels import lstm_backward, lstm_forward
 
-# Stacked layer pairs of the perfbench models: the C5 model's encoder (3->4,
-# 4->2) and decoder (2->2, 2->4), and the wide model's (3->128, 128->16 and
-# 16->16, 16->128), in training minibatches of 64 and scoring batches of 8.
-# Each pair is timed as its two layers one by one and as the one combined
-# recurrence of T+1 steps that fedvib.nn.LstmPair runs; the model pairs only
-# the C5 layers (fedvib.model.PAIR_MAX_WIDTHS).
-PAIRS = [(3, 4, 2), (2, 2, 4), (3, 128, 16), (16, 16, 128)]
+# Stacked layer pairs of the perfbench models, (I, Ha, Hb, B returns
+# sequences): the C5 model's encoder (3->4, 4->2: the code returns its last
+# step only) and decoder (2->2, 2->4), and the wide model's (3->128, 128->16
+# and 16->16, 16->128), in training minibatches of 64 and scoring batches of
+# 8.  Each pair is timed as its two layers one by one and as the one
+# recurrence of T+1 steps the model runs.
+PAIRS = [(3, 4, 2, False), (2, 2, 4, True), (3, 128, 16, False), (16, 16, 128, True)]
 SHAPES = [
-    # (label, T, B, widths): widths (I, H) is one layer, (I, Ha, Hb) a pair
-    (f"{'->'.join(map(str, widths))} (t=100, b={B})", 100, B, widths)
-    for I, Ha, Hb in PAIRS for B in (64, 8)
-    for widths in ((I, Ha), (Ha, Hb), (I, Ha, Hb))
+    # (label, T, B, widths, returns sequences): widths (I, H) is one layer,
+    # (I, Ha, Hb) a pair
+    (f"{'->'.join(map(str, widths))} (t=100, b={B})", 100, B, widths, sequences)
+    for I, Ha, Hb, seq in PAIRS for B in (64, 8)
+    for widths, sequences in (((I, Ha), True), ((Ha, Hb), seq), ((I, Ha, Hb), seq))
 ]
 
 
-def make_case(rng, T, B, widths, dtype):
-    """Kernel arguments (x, W, U, b) of one layer or of a pair's recurrence."""
-    x = rng.normal(size=(T, B, widths[0])).astype(dtype)
+def make_case(rng, T, B, widths, sequences, dtype):
+    """A layer or pair for ``widths``, its [T, B, I] input and a gradient of
+    its output."""
     layers = [LstmLayer(i, h, rng, dtype=dtype) for i, h in zip(widths, widths[1:])]
-    if len(layers) == 1:
-        return x, layers[0].W, layers[0].U, layers[0].b
-    return LstmPair(*layers).combined(x)
+    stage = layers[0] if len(layers) == 1 else LstmPair(*layers)
+    x = rng.normal(size=(T, B, widths[0])).astype(dtype)
+    out, _ = stage.forward(x, return_sequences=sequences)
+    return stage, x, rng.normal(size=out.shape).astype(dtype)
 
 
 def time_call(fn, args, repeat):
@@ -63,19 +68,16 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
 
-    for label, T, B, widths in SHAPES:
-        x, W, U, b = make_case(rng, T, B, widths, dtype)
+    for label, T, B, widths, sequences in SHAPES:
+        stage, x, d_out = make_case(rng, T, B, widths, sequences, dtype)
         # warm-up keeps first-call and cache effects out of the timings
-        h, c, gates = lstm_forward(x, W, U, b)
-        d_h = rng.normal(size=h.shape).astype(dtype)
-        bw_args = (x, W, U, h, c, gates, d_h)
-        lstm_backward(*bw_args)
+        _, cache = stage.forward(x, return_sequences=sequences)
+        stage.backward(d_out, cache, return_sequences=sequences)
 
-        for name, fn, fn_args in (("forward", lstm_forward, (x, W, U, b)),
-                                  ("backward", lstm_backward, bw_args)):
+        for name, fn, fn_args in (("forward", stage.forward, (x, sequences)),
+                                  ("backward", stage.backward, (d_out, cache, sequences))):
             t = time_call(fn, fn_args, args.repeat)
             print(f"{label:<30} {name:<8} {t * 1e3:>10.2f}")
-
 
 if __name__ == "__main__":
     main()

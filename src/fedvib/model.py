@@ -10,10 +10,8 @@ Two stacked layers with nothing between them run as one recurrence
 (:class:`~fedvib.nn.LstmPair`): the last outer encoder layer with ``code``,
 and ``dec0`` with ``dec1``.  A ReLU between two layers breaks such a pair,
 because the combined recurrence feeds A's hidden state straight into B.  The
-pairing halves the time loops the narrow layers pay for in per-step calls;
-on wide layers the steps are GEMM-bound and the combined matrices only add
-work, so layers whose widths multiply to more than ``PAIR_MAX_WIDTHS`` run one
-by one.  Parameter names, order and shapes are the same either way.
+pairing halves the time loops, and so the per-step numpy calls, of the
+stacked layers.  Parameter names, order and shapes are those of the layers.
 """
 
 from dataclasses import dataclass
@@ -47,12 +45,6 @@ THRESHOLD_FLOOR_MARGIN = 1e-9
 # windows per forward pass when no gradient follows: bounds the peak of the
 # caches each forward returns, which are dropped chunk by chunk
 RECONSTRUCT_CHUNK = 256
-# Largest Ha * Hb of two stacked layers that run as one recurrence.  Whole
-# model, T=100, float32, 1 BLAS thread, paired against unpaired: up to 1024 a
-# training step (B=64) is 1.0-1.3x and a scoring batch (B=8) 1.4-1.9x as fast;
-# at 2048 (the default 3->128->16 model) training drops to 0.97x, because the
-# combined recurrent GEMMs also multiply the zero block beside Ua.
-PAIR_MAX_WIDTHS = 1024
 
 
 @dataclass
@@ -122,12 +114,12 @@ class LstmAutoencoder:
         # (layer names, layer or pair, returns sequences, ReLU after) in
         # forward order; a stage that returns its last step only is the code
         n = len(outer)
-        self._stages = [((f"enc{i}",), self._layers[f"enc{i}"], True, True)
-                        for i in range(n - 1)]
-        self._stages += self._stack(f"enc{n - 1}", "code", False, False)
-        self._stages += self._stack("dec0", "dec1", True, n > 1)
-        self._stages += [((f"dec{j}",), self._layers[f"dec{j}"], True, j < n)
-                         for j in range(2, n + 1)]
+        L = self._layers
+        self._stages = [((f"enc{i}",), L[f"enc{i}"], True, True) for i in range(n - 1)]
+        self._stages += [
+            ((f"enc{n - 1}", "code"), LstmPair(L[f"enc{n - 1}"], L["code"]), False, False),
+            (("dec0", "dec1"), LstmPair(L["dec0"], L["dec1"]), True, n > 1)]
+        self._stages += [((f"dec{j}",), L[f"dec{j}"], True, j < n) for j in range(2, n + 1)]
         self._params = {f"{name}.{pname}": arr
                         for name, layer in self._layers.items()
                         for pname, arr in layer.params().items()}
@@ -202,14 +194,6 @@ class LstmAutoencoder:
                 grads.update((f"{name}.{k}", v) for k, v in g.items())
 
         return {k: grads[k] for k in self._params}
-
-    def _stack(self, lower, upper, sequences, relu_after):
-        """Stages for layer ``upper`` stacked on ``lower``: one pair, or the
-        two layers one by one when they are too wide to gain from pairing."""
-        A, B = self._layers[lower], self._layers[upper]
-        if A.hidden_size * B.hidden_size <= PAIR_MAX_WIDTHS:
-            return [((lower, upper), LstmPair(A, B), sequences, relu_after)]
-        return [((lower,), A, True, False), ((upper,), B, sequences, relu_after)]
 
     def reconstruct(self, windows):
         """Reconstruction for [N, T, F] windows; each chunk's caches are

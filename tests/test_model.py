@@ -19,7 +19,7 @@ from fedvib.model import (
     train_epochs,
     window_scores,
 )
-from fedvib.nn import TrainConfig, mse_grad, mse_loss
+from fedvib.nn import TrainConfig, mse_grad, mse_loss, relu, relu_grad
 
 
 # -- configuration -----------------------------------------------------------
@@ -189,7 +189,34 @@ def test_model_gradients_match_finite_differences_relu_path():
     assert max_abs < 1e-6
 
 
-def test_stacked_layers_without_relu_between_run_as_pairs(monkeypatch):
+def _layer_by_layer(model, x):
+    """Reconstruction and gradients of ``model`` (outer_layer_sizes=(4, 3)) run
+    one layer at a time: enc0 ReLU enc1 code | dec0 dec1 ReLU dec2 out."""
+    L = model._layers
+    xt = x.transpose(1, 0, 2)
+    T = xt.shape[0]
+    e0, c_e0 = L["enc0"].forward(xt)
+    e1, c_e1 = L["enc1"].forward(relu(e0))
+    code, c_code = L["code"].forward(e1, return_sequences=False)
+    d0, c_d0 = L["dec0"].forward(np.broadcast_to(code, (T,) + code.shape))
+    d1, c_d1 = L["dec1"].forward(d0)
+    d2, c_d2 = L["dec2"].forward(relu(d1))
+    y, c_out = L["out"].forward(d2)
+    recon = y.transpose(1, 0, 2)
+
+    grads = {}
+    d, grads["out"] = L["out"].backward(mse_grad(x, recon).transpose(1, 0, 2), c_out)
+    d, grads["dec2"] = L["dec2"].backward(d, c_d2)
+    d, grads["dec1"] = L["dec1"].backward(relu_grad(d, d1), c_d1)
+    d, grads["dec0"] = L["dec0"].backward(d, c_d0)
+    d, grads["code"] = L["code"].backward(d.sum(axis=0), c_code, return_sequences=False)
+    d, grads["enc1"] = L["enc1"].backward(d, c_e1)
+    d, grads["enc0"] = L["enc0"].backward(relu_grad(d, e0), c_e0)
+    grads = {f"{name}.{k}": v for name, g in grads.items() for k, v in g.items()}
+    return recon, {k: grads[k] for k in model.param_refs()}
+
+
+def test_stacked_layers_without_relu_between_run_as_pairs():
     cfg = AutoencoderConfig(feature_count=2, window_size=6, outer_layer_sizes=(4, 3),
                             encoding_size=2)
     model = build_autoencoder(cfg, seed=2, dtype=np.float64)
@@ -200,26 +227,14 @@ def test_stacked_layers_without_relu_between_run_as_pairs(monkeypatch):
     assert [names for names, *_ in model._stages] == [
         ("enc0",), ("enc1", "code"), ("dec0", "dec1"), ("dec2",)]
 
-    monkeypatch.setattr("fedvib.model.PAIR_MAX_WIDTHS", 0)
-    reference = build_autoencoder(cfg, seed=2, dtype=np.float64)
-    reference.set_weights_dict(model.weights_dict())
-    assert [names for names, *_ in reference._stages] == [
-        ("enc0",), ("enc1",), ("code",), ("dec0",), ("dec1",), ("dec2",)]
-
     x = sine_windows(3, 6, 2, seed=6).astype(np.float64)
-    recon, want_recon = model.forward(x)[0], reference.forward(x)[0]
-    np.testing.assert_allclose(recon, want_recon, rtol=1e-12, atol=1e-15)
-    grads, want = _analytic_grads(model, x), _analytic_grads(reference, x)
+    want_recon, want = _layer_by_layer(model, x)
+    np.testing.assert_allclose(model.forward(x)[0], want_recon, rtol=1e-12, atol=1e-15)
+    grads = _analytic_grads(model, x)
     assert list(grads) == list(want)
     for k in want:
         np.testing.assert_allclose(grads[k], want[k], rtol=1e-12,
                                    atol=1e-12 * np.abs(want[k]).max(), err_msg=k)
-
-
-def test_wide_stacked_layers_run_one_by_one():
-    model = build_autoencoder(AutoencoderConfig(feature_count=3), seed=0)
-    assert [names for names, *_ in model._stages] == [
-        ("enc0",), ("code",), ("dec0",), ("dec1",)]
 
 
 def test_l2_regularization_gradient_is_two_lambda_w():
