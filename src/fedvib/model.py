@@ -43,7 +43,7 @@ SCORE_MODES = ("mean", "max")
 SIGMA_FLOOR = 1e-12
 THRESHOLD_FLOOR_MARGIN = 1e-9
 # windows per forward pass when no gradient follows: bounds the peak of the
-# caches each forward returns, which are dropped chunk by chunk
+# hidden-state sequences a cache-free forward still builds
 RECONSTRUCT_CHUNK = 256
 
 
@@ -147,10 +147,12 @@ class LstmAutoencoder:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x):
+    def forward(self, x, keep_cache=True):
         """x: [B, T, F] -> ``(reconstruction [B, T, F], cache)``.
 
         ``cache`` holds what ``backward`` needs; the model keeps none of it.
+        With ``keep_cache`` false no backward follows: the layers keep no
+        gates or cell states, and ``cache`` is None.
         """
         cfg = self.config
         if x.ndim != 3 or x.shape[1] != cfg.window_size or x.shape[2] != cfg.feature_count:
@@ -162,15 +164,18 @@ class LstmAutoencoder:
         caches = []
         h = xt
         for _, stage, sequences, relu_after in self._stages:
-            h, cache = stage.forward(h, return_sequences=sequences)
+            h, cache = stage.forward(h, return_sequences=sequences,
+                                     keep_cache=keep_cache)
             pre = None
             if relu_after:
                 pre, h = h, relu(h)
-            caches.append((cache, pre))
+            if keep_cache:
+                caches.append((cache, pre))
             if not sequences:  # the code, repeated over the window
                 h = np.ascontiguousarray(np.broadcast_to(h, (T,) + h.shape))
         y, out_cache = self._layers["out"].forward(h)
-        return np.ascontiguousarray(y.transpose(1, 0, 2)), (caches, out_cache)
+        recon = np.ascontiguousarray(y.transpose(1, 0, 2))
+        return recon, ((caches, out_cache) if keep_cache else None)
 
     def backward(self, d_recon, cache):
         """Gradient of a scalar loss w.r.t. every parameter.
@@ -196,11 +201,11 @@ class LstmAutoencoder:
         return {k: grads[k] for k in self._params}
 
     def reconstruct(self, windows):
-        """Reconstruction for [N, T, F] windows; each chunk's caches are
-        dropped as soon as its forward returns."""
+        """Reconstruction for [N, T, F] windows, by cache-free forwards of
+        ``RECONSTRUCT_CHUNK`` windows."""
         outs = []
         for s in range(0, len(windows), RECONSTRUCT_CHUNK):
-            outs.append(self.forward(windows[s:s + RECONSTRUCT_CHUNK])[0])
+            outs.append(self.forward(windows[s:s + RECONSTRUCT_CHUNK], False)[0])
         return np.concatenate(outs, axis=0) if outs else np.empty_like(windows)
 
 
@@ -291,9 +296,10 @@ def window_scores(model, windows):
     windows = np.ascontiguousarray(windows, dtype=model.dtype)
     if len(windows) == 0:
         return np.zeros(0)
-    recon = model.reconstruct(windows)
-    diff = recon.astype(np.float64) - windows.astype(np.float64)
-    return (diff * diff).mean(axis=(1, 2))
+    diff = model.reconstruct(windows).astype(np.float64)
+    diff -= windows
+    diff *= diff
+    return diff.mean(axis=(1, 2))
 
 
 def batch_anomaly_score(scores, mode="mean"):
@@ -353,13 +359,18 @@ class AnomalyVerdict:
 
 
 def score_batches(model, batches, offset, threshold, window_size, score_mode="mean"):
-    """Score whole batches with a fitted model and a fixed threshold."""
+    """Score whole batches with a fitted model and a fixed threshold.
+
+    The windows of all batches go through one ``window_scores`` call; a batch
+    too short for one window gets no verdict.
+    """
+    ws, owners = windows_for_batches(batches, window_size)
+    scores = window_scores(model, ws)
+    present, starts = np.unique(owners, return_index=True)
     verdicts = []
-    for i, batch in enumerate(batches):
-        ws, _ = windows_for_batches([batch], window_size)
-        if len(ws) == 0:
-            continue
-        score = batch_anomaly_score(window_scores(model, ws), mode=score_mode)
+    for i, batch_scores in zip(present.tolist(), np.split(scores, starts[1:])):
+        batch = batches[i]
+        score = batch_anomaly_score(batch_scores, mode=score_mode)
         verdicts.append(AnomalyVerdict(
             batch_index=offset + i, timestamp=batch.timestamp, score=score,
             threshold=threshold.threshold, verdict=threshold.classify(score),

@@ -7,6 +7,11 @@ step is taken out of the loop (Appleyard et al., arXiv:1604.01946): the input
 projection of all steps is one GEMM before it, and the weight gradients and
 ``dx`` are one GEMM each per block of steps, after the block's recurrence.
 
+Scoring runs the same forward loop without the cache (``keep_cache`` false):
+the input projection then runs per block of steps into a small gate buffer,
+and only the current step of the cell state is kept, so a scoring call holds
+the hidden states and little else.
+
 Array conventions: sequences are ``[T, B, *]`` C-contiguous, gate order along
 the stacked weight rows is input | forget | cell | output.  Kernels are dtype
 generic (float32 in production, float64 for gradient checking).
@@ -20,12 +25,15 @@ import numpy as np
 _FACTOR_BLOCK = 1 << 16
 
 
-def lstm_forward(x, W, U, b):
+def lstm_forward(x, W, U, b, keep_cache=True):
     """Run the recurrence over a [T, B, I] input.
 
     Returns (h, c, gates): hidden and cell state sequences [T, B, H] and the
     post-activation gate sequence [T, B, 4H], everything the backward pass
-    needs besides the inputs themselves.
+    needs besides the inputs themselves.  With ``keep_cache`` false (no
+    backward pass follows) it returns (h, None, None): the input is projected
+    block by block into a gate buffer of ``_FACTOR_BLOCK`` elements (at least
+    one step), and only the current step of ``c`` is kept.
     """
     T, B, I = x.shape
     H = U.shape[1]
@@ -35,13 +43,16 @@ def lstm_forward(x, W, U, b):
     s = np.full(4 * H, 0.5, x.dtype)
     s[2 * H:3 * H] = 1
     shift = 1 - s
+    Ws = (W * s[:, None]).T
+    bs = b * s
     Us = (U * s[:, None]).T.copy()
 
+    # n steps per block; c[t % len(c)] holds step t's cell state, and
+    # without the cache one step, overwritten in place, holds them all
+    n = T if keep_cache else max(1, min(T, _FACTOR_BLOCK // (4 * H * B)))
     h = np.empty((T, B, H), x.dtype)
-    c = np.empty((T, B, H), x.dtype)
-    gates = np.empty((T, B, 4 * H), x.dtype)
-    np.dot(x.reshape(T * B, I), (W * s[:, None]).T, out=gates.reshape(T * B, 4 * H))
-    gates += b * s
+    c = np.empty((T if keep_cache else 1, B, H), x.dtype)
+    gates = np.empty((n, B, 4 * H), x.dtype)
     gi = gates[:, :, 0:H]
     gf = gates[:, :, H:2 * H]
     gg = gates[:, :, 2 * H:3 * H]
@@ -50,20 +61,28 @@ def lstm_forward(x, W, U, b):
     ig = np.empty((B, H), x.dtype)
     h_prev = c_prev = np.zeros((B, H), x.dtype)
 
-    for t in range(T):
-        z, c_t, h_t = gates[t], c[t], h[t]
-        np.dot(h_prev, Us, out=hU)
-        z += hU
-        np.tanh(z, out=z)
-        z *= s
-        z += shift
-        np.multiply(gf[t], c_prev, out=c_t)
-        np.multiply(gi[t], gg[t], out=ig)
-        c_t += ig
-        np.tanh(c_t, out=h_t)
-        h_t *= go[t]
-        h_prev, c_prev = h_t, c_t
-    return h, c, gates
+    for start in range(0, T, n):
+        k = min(n, T - start)
+        np.dot(x[start:start + k].reshape(k * B, I), Ws,
+               out=gates[:k].reshape(k * B, 4 * H))
+        gates[:k] += bs
+        for j in range(k):
+            t = start + j
+            z, c_t, h_t = gates[j], c[t % len(c)], h[t]
+            np.dot(h_prev, Us, out=hU)
+            z += hU
+            np.tanh(z, out=z)
+            z *= s
+            z += shift
+            np.multiply(gf[j], c_prev, out=c_t)
+            np.multiply(gi[j], gg[j], out=ig)
+            c_t += ig
+            np.tanh(c_t, out=h_t)
+            h_t *= go[j]
+            h_prev, c_prev = h_t, c_t
+    if keep_cache:
+        return h, c, gates
+    return h, None, None
 
 
 def lstm_backward(x, W, U, h, c, gates, d_h):

@@ -43,13 +43,14 @@ class LstmLayer:
     def params(self):
         return {"W": self.W, "U": self.U, "b": self.b}
 
-    def forward(self, x, return_sequences=True):
+    def forward(self, x, return_sequences=True, keep_cache=True):
+        """``(output, cache)``; the cache is None unless ``keep_cache``."""
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ShapeError(
                 f"lstm expects [T, B, {self.input_size}], got {x.shape}")
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        h, c, gates = kernels.lstm_forward(x, self.W, self.U, self.b)
-        cache = (x, h, c, gates)
+        h, c, gates = kernels.lstm_forward(x, self.W, self.U, self.b, keep_cache)
+        cache = (x, h, c, gates) if keep_cache else None
         return (h if return_sequences else h[-1]), cache
 
     def backward(self, d_out, cache, return_sequences=True):
@@ -112,16 +113,17 @@ class LstmPair:
         b[rb] = B.b
         return xc, W, U, b
 
-    def forward(self, x, return_sequences=True):
-        """B's outputs for a [T, B, I] input to A (its last step only when
-        ``return_sequences`` is false)."""
+    def forward(self, x, return_sequences=True, keep_cache=True):
+        """``(outputs, cache)``: B's outputs for a [T, B, I] input to A (its
+        last step only when ``return_sequences`` is false); the cache is None
+        unless ``keep_cache``."""
         A = self.lower
         if x.ndim != 3 or x.shape[2] != A.input_size:
             raise ShapeError(
                 f"lstm expects [T, B, {A.input_size}], got {x.shape}")
         xc, W, U, b = self.combined(x)
-        h, c, gates = kernels.lstm_forward(xc, W, U, b)
-        cache = (xc, W, U, h, c, gates)
+        h, c, gates = kernels.lstm_forward(xc, W, U, b, keep_cache)
+        cache = (xc, W, U, h, c, gates) if keep_cache else None
         Ha = A.hidden_size
         out = h[1:, :, Ha:] if return_sequences else h[-1, :, Ha:]
         return np.ascontiguousarray(out), cache

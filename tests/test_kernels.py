@@ -115,6 +115,23 @@ def test_forward_deterministic():
     assert h1.tobytes() == h2.tobytes()
 
 
+# (T, B, I, H) of the cache-free forward: one block covering all T steps at
+# B=1 and at the C5 pair width (4->6); blocks of 128 steps at B=1 (the last
+# one partial), of 2 steps at B=64 (2, 2, 2, 1) and of 1 step at B=256.
+CACHE_FREE_SHAPES = [(5, 1, 3, 4), (101, 8, 4, 6), (130, 1, 3, 128),
+                     (7, 64, 3, 128), (3, 256, 3, 128)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("T,B,I,H", CACHE_FREE_SHAPES)
+def test_cache_free_forward_equals_caching_forward(T, B, I, H, dtype):
+    x, W, U, b, _ = _random_problem(dtype, T, B, I, H, seed=T + B)
+    h, _, _ = kernels.lstm_forward(x, W, U, b)
+    h_free, c, gates = kernels.lstm_forward(x, W, U, b, False)
+    assert c is None and gates is None
+    assert h_free.dtype == h.dtype and h_free.tobytes() == h.tobytes()
+
+
 # (T, B, I, H): single elements, then the C5 layer shapes (3->4, 4->2, 2->2,
 # 2->4) and the wide model's (3->128, 128->16) at a small T; at 3->128 with
 # B=64 the backward pass splits T=5 into blocks of 2, 2 and 1 steps.
@@ -170,6 +187,6 @@ def test_kernel_bench_prints_every_shape_and_pass(capsys):
     spec.loader.exec_module(bench)
     bench.main(["--repeat", "1"])
     rows = capsys.readouterr().out.splitlines()[3:]  # after the header
-    assert [(row[:30].rstrip(), row.split()[-2]) for row in rows] == [
+    assert [(row[:30].rstrip(), row.split()[-3]) for row in rows] == [
         (label, name) for label, *_ in bench.SHAPES
-        for name in ("forward", "backward")]
+        for name in ("forward", "score", "backward")]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradients, fd_gradients_smooth, gradient_errors, sine_windows
+from fedvib.data import VibrationBatch, windows_for_batches
 from fedvib.errors import ConfigError, ShapeError
 from fedvib.model import (
     AnomalyVerdict,
@@ -16,6 +17,7 @@ from fedvib.model import (
     build_autoencoder,
     evaluate_detection,
     evaluate_loss,
+    score_batches,
     train_epochs,
     window_scores,
 )
@@ -143,6 +145,63 @@ def test_training_leaves_no_cache_behind():
         tracemalloc.stop()
     assert result.train_losses
     assert retained < 5 * 2 ** 20, f"{retained / 2 ** 20:.1f} MB still allocated"
+
+
+# (outer_layer_sizes, encoding_size): the C5 model, the wide default model
+# and a model with a ReLU between its outer layers
+SCORED_MODELS = [((4,), 2), ((128,), 16), ((4, 3), 2)]
+
+
+def _three_feature_model(outer, encoding):
+    cfg = AutoencoderConfig(feature_count=3, window_size=100, outer_layer_sizes=outer,
+                            encoding_size=encoding)
+    return build_autoencoder(cfg, seed=0)
+
+
+@pytest.mark.parametrize("outer,encoding", SCORED_MODELS)
+def test_reconstruct_equals_the_caching_forward(outer, encoding):
+    model = _three_feature_model(outer, encoding)
+    x = sine_windows(40, 100, 3, seed=1)
+    recon, cache = model.forward(x)
+    assert cache is not None and model.forward(x, False)[1] is None
+    assert model.reconstruct(x).tobytes() == recon.tobytes()
+
+
+def test_scoring_peak_is_a_few_hidden_state_sequences():
+    model = _three_feature_model((128,), 16)
+    x = sine_windows(256, 100, 3, seed=0)
+    # one pair's hidden states, [T + 1, 256, 128 + 16] float32: about 15 MB
+    h_bytes = 101 * 256 * 144 * 4
+    tracemalloc.start()
+    try:
+        window_scores(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * h_bytes, f"{peak / 2 ** 20:.1f} MB peak"
+
+
+@pytest.mark.parametrize("outer,encoding", SCORED_MODELS[:2])
+def test_score_batches_equals_scoring_batch_by_batch(outer, encoding):
+    model = _three_feature_model(outer, encoding)
+    rng = np.random.default_rng(5)
+    # 60 batches of 8 windows; the one in the middle is too short for one
+    lengths = [800] * 30 + [99] + [800] * 30
+    batches = [VibrationBatch(timestamp=60.0 * i, samples=rng.standard_normal((n, 3)),
+                              sampling_rate_hz=1.0, label=("normal", "anomalous")[i % 2])
+               for i, n in enumerate(lengths)]
+    threshold = ThresholdModel.calibrate([0.8, 1.0, 1.2])
+    want = []
+    for i, batch in enumerate(batches):
+        ws, _ = windows_for_batches([batch], 100)
+        if len(ws):
+            score = batch_anomaly_score(window_scores(model, ws))
+            want.append(AnomalyVerdict(
+                batch_index=7 + i, timestamp=batch.timestamp, score=score,
+                threshold=threshold.threshold, verdict=threshold.classify(score),
+                label=batch.label))
+    assert score_batches(model, batches, 7, threshold, 100) == want
+    assert len(want) == 60
 
 
 def _mse_of(model, x):
