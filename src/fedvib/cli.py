@@ -114,7 +114,7 @@ def cmd_aggregate(args):
         print(f"round {rec.round}: clients={sorted(rec.client_ids)} "
               f"windows={sum(rec.windows_trained.values())} "
               f"sent={rec.bytes_sent}B recv={rec.bytes_received}B "
-              f"took={rec.duration_s:.2f}s late={rec.late_submissions}")
+              f"took={rec.duration_s:.2f}s")
     if args.checkpoint:
         save_model_checkpoint(args.checkpoint, agg.global_weights,
                               round_index=args.rounds)

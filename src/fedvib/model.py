@@ -42,8 +42,12 @@ THRESHOLD_MODES = ("mean_plus_sigma", "paper_literal")
 SCORE_MODES = ("mean", "max")
 SIGMA_FLOOR = 1e-12
 THRESHOLD_FLOOR_MARGIN = 1e-9
-# windows per forward pass when no gradient follows: bounds the peak of the
-# hidden-state sequences a cache-free forward still builds
+# most windows per forward pass when no gradient follows: bounds the peak of
+# the hidden-state sequences a cache-free forward still builds.  An input is
+# cut into near-equal chunks, none shorter than 128 windows unless the whole
+# input is, so no chunk edge leaves a short last chunk.  A whole input of 1-4
+# windows can still score differently in the last bits on wide models than
+# the same windows in a larger forward: OpenBLAS takes a small-M GEMM path.
 RECONSTRUCT_CHUNK = 256
 
 
@@ -202,11 +206,11 @@ class LstmAutoencoder:
 
     def reconstruct(self, windows):
         """Reconstruction for [N, T, F] windows, by cache-free forwards of
-        ``RECONSTRUCT_CHUNK`` windows."""
-        outs = []
-        for s in range(0, len(windows), RECONSTRUCT_CHUNK):
-            outs.append(self.forward(windows[s:s + RECONSTRUCT_CHUNK], False)[0])
-        return np.concatenate(outs, axis=0) if outs else np.empty_like(windows)
+        near-equal chunks of at most ``RECONSTRUCT_CHUNK`` windows."""
+        if not len(windows):
+            return np.empty_like(windows)
+        chunks = np.array_split(windows, -(-len(windows) // RECONSTRUCT_CHUNK))
+        return np.concatenate([self.forward(c, False)[0] for c in chunks], axis=0)
 
 
 def build_autoencoder(config, seed=0, dtype=np.float32):

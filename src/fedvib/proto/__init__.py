@@ -12,7 +12,6 @@ from .weights import ModelWeights, WeightDelta, apply_delta, fedavg
 from .wire import (
     MAGIC,
     VERSION,
-    Ack,
     DeltaSubmission,
     Error,
     GlobalModel,
@@ -41,7 +40,6 @@ __all__ = [
     "fedavg",
     "MAGIC",
     "VERSION",
-    "Ack",
     "DeltaSubmission",
     "Error",
     "GlobalModel",

@@ -5,19 +5,24 @@ feed one inbox of events; the coordinator (the thread in ``run``) alone
 applies them, through ``_handle``, so it is the only writer of state and
 endpoints.  The registry holds the clients registered and still connected.
 
-Round protocol: round r begins with every registered client holding the
-round-r global model.  The coordinator collects one delta per participant
-(the clients registered when the round began), averages them in sorted
-client id order, applies the mean to the global model, and sends the
-round-r+1 model to every registered client.  A client registering mid-round
-gets the current model at once and takes part from the next round; its
-delta for the in-flight round is acknowledged and discarded.  A client
-whose connection closes, breaks or fails a send leaves the registry.  The
-round aborts, with no partial aggregation, if a participant leaves before
-submitting, a delta is missing at the timeout, a delta's tensor names or
-shapes differ from the global model's or it holds a non-finite value, or the
-new global model would hold one.  Every FedvibError leaving ``run`` first
-reaches each registered client as an ERR_ROUND_ABORT Error frame.
+Round protocol: once the expected clients have registered, the coordinator
+sends every registered client the round-0 global model.  Round r's
+participants are the clients registered when it begins, each holding the
+round-r model.  The coordinator collects one delta per participant,
+averages them in sorted client id order, applies the mean to the global
+model, and sends the round-r+1 model to every registered client.  So a
+client only ever holds the model of a round it takes part in: one that
+registers mid-round receives nothing until the broadcast ending that round,
+and takes part from the next.  A delta from a client that is not a
+participant of the round in flight (registration is still open, or it
+joined mid-round) is a protocol error: the client gets an ERR_PROTOCOL
+Error frame and its connection closes.  A client whose connection closes,
+breaks or fails a send leaves the registry.  The round aborts, with no
+partial aggregation, if a participant leaves before submitting, a delta is
+missing at the timeout, a delta's tensor names or shapes differ from the
+global model's or it holds a non-finite value, or the new global model
+would hold one.  Every FedvibError leaving ``run`` first reaches each
+registered client as an ERR_ROUND_ABORT Error frame.
 """
 
 import queue
@@ -40,7 +45,6 @@ from .wire import (
     ERR_DUPLICATE_ID,
     ERR_PROTOCOL,
     ERR_ROUND_ABORT,
-    Ack,
     DeltaSubmission,
     Error,
     GlobalModel,
@@ -117,7 +121,7 @@ class RoundRecord:
 
     Byte counters cover everything on the aggregator's accepted endpoints
     since the previous record, so round 0 also includes session setup
-    traffic (registrations and the initial global model); summing the
+    traffic (registrations and the round-0 global model); summing the
     records reproduces the endpoint totals exactly.
     """
 
@@ -127,7 +131,6 @@ class RoundRecord:
     bytes_sent: int
     bytes_received: int
     duration_s: float
-    late_submissions: int = 0
 
 
 class AggregationNode:
@@ -145,12 +148,9 @@ class AggregationNode:
         self.registration_timeout_s = registration_timeout_s
         self.round_timeout_s = round_timeout_s
         self.records = []
-        self.current_round = 0
         self._clients = {}       # endpoint -> client id, registered and connected
         self._endpoints = []     # every accepted endpoint, for bytes and shutdown
-        self._parked = []        # round-0 delta events sent before registration ended
         self._windows = {}       # client id -> windows trained, this round
-        self._late = 0           # submissions outside this round's participants
         self._sent_base = 0      # bytes already attributed to earlier records
         self._recv_base = 0
         self._threads = []
@@ -202,7 +202,6 @@ class AggregationNode:
         """Close a connection and forget its client; abort if it owes a delta."""
         conn.close()
         cid = self._clients.pop(conn, None)
-        self._parked = [ev for ev in self._parked if ev[1] is not conn]
         if (state is not None and cid in state.expected_clients
                 and cid not in state.received):
             raise RoundAbortError(f"round {state.round}: client {cid!r} "
@@ -252,10 +251,8 @@ class AggregationNode:
         elif cid is None and msg.client_id in self._clients.values():
             self._reject(conn, state, ERR_DUPLICATE_ID,
                          f"client id {msg.client_id!r} already registered")
-        elif cid is None:  # takes part from the next round
+        elif cid is None:  # takes part from the next round that begins
             self._clients[conn] = msg.client_id
-            self._send(conn, GlobalModel(round=self.current_round,
-                                         weights=self.global_weights), state)
         elif not isinstance(msg, DeltaSubmission):
             self._send(conn, Error(code=ERR_PROTOCOL,
                                    text=f"unexpected {type(msg).__name__} on the "
@@ -264,11 +261,9 @@ class AggregationNode:
             self._send(conn, Error(code=ERR_PROTOCOL,
                                    text=f"submission claims {msg.client_id!r} "
                                         f"but the connection registered {cid!r}"), state)
-        elif state is None:  # raced ahead into round 0 before the last registration
-            self._parked.append(event)
-        elif cid not in state.expected_clients:  # joined mid-round
-            self._late += 1
-            self._send(conn, Ack(), state)
+        elif state is None or cid not in state.expected_clients:
+            self._reject(conn, state, ERR_PROTOCOL,
+                         f"delta from {cid!r}, which takes part in no round in flight")
         else:
             try:
                 state.record(cid, msg.delta)
@@ -286,6 +281,7 @@ class AggregationNode:
                         self.registration_timeout_s,
                         lambda: (f"only {len(self._clients)} of "
                                  f"{self.expected_clients} clients registered"))
+            self._broadcast(GlobalModel(round=0, weights=self.global_weights))
             for r in range(self.rounds):
                 self._run_round(r)
             return self.records
@@ -300,10 +296,7 @@ class AggregationNode:
         sent0, recv0 = self._sent_base, self._recv_base
         state = RoundState(round=r, global_weights=self.global_weights,
                            expected_clients=frozenset(self._clients.values()))
-        self._windows, self._late = {}, 0
-        parked, self._parked = self._parked, []
-        for event in parked:
-            self._handle(event, state)
+        self._windows = {}
         self._serve(state, state.complete, self.round_timeout_s,
                     lambda: f"round {r}: no delta from {state.missing}")
 
@@ -314,9 +307,7 @@ class AggregationNode:
         recv1 = sum(c.bytes_received for c in self._endpoints)
 
         self.global_weights = state.aggregate()
-        self.current_round = r + 1
-        self._broadcast(GlobalModel(round=self.current_round,
-                                    weights=self.global_weights))
+        self._broadcast(GlobalModel(round=r + 1, weights=self.global_weights))
 
         sent1 = sum(c.bytes_sent for c in self._endpoints)
         self._sent_base, self._recv_base = sent1, recv1
@@ -326,5 +317,4 @@ class AggregationNode:
             windows_trained=self._windows,
             bytes_sent=sent1 - sent0,
             bytes_received=recv1 - recv0,
-            duration_s=time.monotonic() - t0,
-            late_submissions=self._late))
+            duration_s=time.monotonic() - t0))

@@ -30,7 +30,6 @@ from .aggregator import ROUND_TIMEOUT_S
 from .weights import ModelWeights, WeightDelta
 from .wire import (
     ERR_ROUND_ABORT,
-    Ack,
     DeltaSubmission,
     Error,
     GlobalModel,
@@ -138,10 +137,6 @@ class TrainingNode:
                                           f"by aggregator: {msg.text}")
                 raise ProtocolError(f"{cfg.client_id}: rejected by aggregator "
                                     f"(code {msg.code}): {msg.text}")
-            if isinstance(msg, Ack):
-                # our submission was outside the aggregated set (late join);
-                # keep waiting for the next global model
-                continue
             if not isinstance(msg, GlobalModel):
                 raise ProtocolError(f"{cfg.client_id}: unexpected "
                                     f"{type(msg).__name__} from aggregator")

@@ -28,8 +28,7 @@ HEADER_SIZE = 14  # magic + version + msg_type + payload_len
 MSG_REGISTER = 1
 MSG_GLOBAL_MODEL = 2
 MSG_DELTA_SUBMISSION = 3
-MSG_ACK = 4
-MSG_ERROR = 5
+MSG_ERROR = 5  # 4 stays unassigned: an old peer's acknowledgement must not decode
 
 # Error message codes
 ERR_DUPLICATE_ID = 1
@@ -60,11 +59,6 @@ class DeltaSubmission:
 
 
 @dataclass(frozen=True)
-class Ack:
-    pass
-
-
-@dataclass(frozen=True)
 class Error:
     code: int
     text: str
@@ -76,7 +70,6 @@ MESSAGE_TYPES = {
     Register: MSG_REGISTER,
     GlobalModel: MSG_GLOBAL_MODEL,
     DeltaSubmission: MSG_DELTA_SUBMISSION,
-    Ack: MSG_ACK,
     Error: MSG_ERROR,
 }
 
@@ -135,8 +128,6 @@ def encode_frame(message):
         _encode_str(parts, message.client_id)
         parts.append(struct.pack("<QQ", message.round, message.windows_trained))
         _encode_weight_block(parts, message.delta.tensors)
-    elif msg_type == MSG_ACK:
-        pass
     elif msg_type == MSG_ERROR:
         parts.append(struct.pack("<H", message.code))
         _encode_str(parts, message.text)
@@ -253,8 +244,6 @@ def decode_frame(data):
         delta = _decode_weight_block(r, lambda t: WeightDelta(t, base_round=rnd))
         msg = DeltaSubmission(client_id=client_id, round=rnd, delta=delta,
                               windows_trained=windows)
-    elif msg_type == MSG_ACK:
-        msg = Ack()
     elif msg_type == MSG_ERROR:
         code = r.u16("error code")
         msg = Error(code=code, text=r.string("error text"))

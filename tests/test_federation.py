@@ -35,7 +35,6 @@ from fedvib.model import (
 )
 from fedvib.nn import TrainConfig
 from fedvib.proto import (
-    Ack,
     AggregationNode,
     DeltaSubmission,
     Error,
@@ -109,7 +108,6 @@ def test_federation_reaches_bitwise_consensus():
     for rec in records:
         assert rec.client_ids == sorted(seeds)
         assert set(rec.windows_trained) == set(seeds)
-        assert rec.late_submissions == 0
     finals = [results[cid].final_weights for cid in sorted(seeds)]
     for w in finals[1:]:
         assert w == finals[0]
@@ -237,7 +235,7 @@ def _start_aggregator(agg, listener):
     return t, box
 
 
-def test_late_registrant_gets_current_model_and_joins_next_round(hub):
+def test_mid_round_registrant_gets_the_next_round_model_and_joins_it(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -249,19 +247,16 @@ def test_late_registrant_gets_current_model_and_joins_next_round(hub):
     gm_b = b.recv(timeout=5.0)
     assert gm_a.round == 0 and gm_b.round == 0
 
-    # round 0 in flight: a submits, then c registers late
+    # round 0 in flight: a submits, then c registers
     a.send(DeltaSubmission("a", 0, _zero_delta(gm_a.weights, 0)))
     c = hub.connect()
     c.send(Register("c"))
-    gm_c = c.recv(timeout=5.0)
-    assert gm_c.round == 0  # current model, not a future one
-    assert gm_c.weights == gm_a.weights
-    # c trains on it and submits for the in-flight round: acknowledged, dropped
-    c.send(DeltaSubmission("c", 0, _zero_delta(gm_c.weights, 0)))
-    assert isinstance(c.recv(timeout=5.0), Ack)
+    _until(lambda: _registered(agg) == ["a", "b", "c"])
+    with pytest.raises(TransportError, match="timed out"):
+        c.recv(timeout=0.2)  # round 0 is not c's round: no model for it
 
     b.send(DeltaSubmission("b", 0, _zero_delta(gm_b.weights, 0)))
-    # everyone registered receives round 1, including c
+    # everyone registered receives round 1, c with its first frame
     nxt = {"a": a.recv(timeout=5.0), "b": b.recv(timeout=5.0),
            "c": c.recv(timeout=5.0)}
     assert all(isinstance(m, GlobalModel) and m.round == 1 for m in nxt.values())
@@ -276,9 +271,7 @@ def test_late_registrant_gets_current_model_and_joins_next_round(hub):
 
     records = box["records"]
     assert records[0].client_ids == ["a", "b"]
-    assert records[0].late_submissions == 1
     assert records[1].client_ids == ["a", "b", "c"]
-    assert records[1].late_submissions == 0
 
 
 def test_duplicate_client_id_rejected(hub):
@@ -288,7 +281,6 @@ def test_duplicate_client_id_rejected(hub):
 
     a = hub.connect()
     a.send(Register("a"))
-    gm = a.recv(timeout=5.0)
 
     imposter = hub.connect()
     imposter.send(Register("a"))
@@ -298,6 +290,7 @@ def test_duplicate_client_id_rejected(hub):
 
     b = hub.connect()
     b.send(Register("b"))
+    gm = a.recv(timeout=5.0)
     gm_b = b.recv(timeout=5.0)
     a.send(DeltaSubmission("a", 0, _zero_delta(gm.weights, 0)))
     b.send(DeltaSubmission("b", 0, _zero_delta(gm_b.weights, 0)))
@@ -438,7 +431,7 @@ def test_late_joiner_that_leaves_is_not_expected_next_round(hub):
 
     c = hub.connect()
     c.send(Register("c"))
-    assert c.recv(timeout=5.0).round == 0  # joined during round 0
+    _until(lambda: _registered(agg) == ["a", "b", "c"])  # joined during round 0
     c.close()
     _until(lambda: _registered(agg) == ["a", "b"])
 
@@ -501,11 +494,12 @@ def test_registration_timeout_tells_registered_clients(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=0.3, round_timeout_s=5.0)
     t, box = _start_aggregator(agg, hub)
-    eps, _ = _register_all(hub, ["a"])
-    err = eps["a"].recv(timeout=5.0)
+    a = hub.connect()
+    a.send(Register("a"))
+    err = a.recv(timeout=5.0)  # a's first frame: no model before round 0
     assert isinstance(err, Error) and err.code == ERR_ROUND_ABORT
     assert "1 of 2" in err.text
-    assert eps["a"].recv(timeout=5.0) is None
+    assert a.recv(timeout=5.0) is None
     t.join(timeout=10.0)
     assert isinstance(box.get("error"), RoundAbortError)
 
@@ -529,22 +523,39 @@ def test_unregistered_socket_is_closed_when_run_returns():
         a.close()
 
 
-def test_early_delta_of_a_departed_client_is_discarded(hub):
-    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+def test_pre_round_delta_is_refused(hub):
+    init = global_init()
+    agg = AggregationNode(init, expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
-    early, models = _register_all(hub, ["a"])
-    # a races ahead into round 0 before anyone else registered, then leaves
-    early["a"].send(DeltaSubmission("a", 0, _zero_delta(models["a"].weights, 0)))
-    early["a"].close()
+    a = hub.connect()
+    a.send(Register("a"))
+    # while registration is still open, a sends round-0 deltas of ones
+    ones = WeightDelta({k: np.ones_like(v) for k, v in init.tensors.items()},
+                       base_round=0)
+    for _ in range(3):
+        try:
+            a.send(DeltaSubmission("a", 0, ones))
+        except TransportError:  # the aggregator already closed a
+            break
+    err = a.recv(timeout=5.0)
+    assert isinstance(err, Error) and err.code == ERR_PROTOCOL, err
+    assert "'a'" in err.text
+    try:  # closed, with a reset if a's later deltas were still unread then
+        assert a.recv(timeout=5.0) is None
+    except TransportError as e:
+        assert "reset" in str(e)
+    a.close()
     _until(lambda: _registered(agg) == [])
+    assert t.is_alive() and "error" not in box
 
     eps, models = _register_all(hub, ["b", "c"])
+    assert all(m.round == 0 and m.weights == init for m in models.values())
     _submit_round(eps, models, 0)
     t.join(timeout=10.0)
     assert not t.is_alive() and "error" not in box
-    rec = box["records"][0]
-    assert rec.client_ids == ["b", "c"] and rec.late_submissions == 0
+    assert box["records"][0].client_ids == ["b", "c"]
+    assert agg.global_weights == init  # none of a's deltas was averaged in
 
 
 def test_failed_send_drops_only_that_peer(hub):
@@ -592,9 +603,10 @@ def test_oversized_frame_is_refused_before_its_payload(hub, transport):
         a = connect_socket("127.0.0.1", listener.port)
         b = connect_socket("127.0.0.1", listener.port)
     try:
-        for cid, ep in (("a", a), ("b", b)):
-            ep.send(Register(cid))
-            assert ep.recv(timeout=5.0).round == 0
+        a.send(Register("a"))
+        b.send(Register("b"))
+        assert a.recv(timeout=5.0).round == 0
+        assert b.recv(timeout=5.0).round == 0
         # a announces a 1 TiB delta and never sends it
         a._sock.sendall(MAGIC + struct.pack("<BBQ", VERSION, MSG_DELTA_SUBMISSION, 2**40))
         err = a.recv(timeout=5.0)

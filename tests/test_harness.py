@@ -44,7 +44,7 @@ from fedvib.model import (
     train_epochs,
 )
 from fedvib.nn import TrainConfig
-from fedvib.proto import Ack, encode_frame
+from fedvib.proto import Register, encode_frame
 
 ACFG = AutoencoderConfig(feature_count=1, window_size=10, outer_layer_sizes=(4,),
                          encoding_size=2)
@@ -450,7 +450,7 @@ def test_model_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_rejects_non_model_frames(tmp_path):
     path = tmp_path / "bogus.bin"
-    path.write_bytes(encode_frame(Ack()))
+    path.write_bytes(encode_frame(Register("a")))
     with pytest.raises(WireError, match="global model"):
         load_model_checkpoint(path)
 

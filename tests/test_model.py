@@ -167,6 +167,17 @@ def test_reconstruct_equals_the_caching_forward(outer, encoding):
     assert model.reconstruct(x).tobytes() == recon.tobytes()
 
 
+@pytest.mark.parametrize("outer,encoding", SCORED_MODELS[:2])
+def test_window_score_does_not_depend_on_the_chunk_edge(outer, encoding):
+    model = _three_feature_model(outer, encoding)
+    x = sine_windows(264, 100, 3, seed=2)
+    # every window scored in a forward of 8
+    want = np.concatenate([window_scores(model, x[s:s + 8])
+                           for s in range(0, len(x), 8)])
+    for n in range(257, 261):  # more than one RECONSTRUCT_CHUNK
+        assert window_scores(model, x[:n]).tobytes() == want[:n].tobytes(), n
+
+
 def test_scoring_peak_is_a_few_hidden_state_sequences():
     model = _three_feature_model((128,), 16)
     x = sine_windows(256, 100, 3, seed=0)

@@ -10,7 +10,6 @@ import pytest
 from fedvib.errors import ConfigError, ProtocolError, ShapeError, WireError
 from fedvib.nn.ops import weight_delta
 from fedvib.proto import (
-    Ack,
     DeltaSubmission,
     Error,
     GlobalModel,
@@ -28,6 +27,7 @@ from fedvib.proto.wire import (
     HEADER_SIZE,
     MAGIC,
     MAX_NAME_LEN,
+    MESSAGE_TYPES,
     MSG_DELTA_SUBMISSION,
     VERSION,
     max_payload_size,
@@ -245,18 +245,25 @@ def test_wire_round_trip_all_message_types():
     rng = np.random.default_rng(8)
     w = _random_weights(rng)
     delta = WeightDelta(_random_weights(rng).tensors, base_round=4)
-    messages = [
-        Register(client_id="bearing-β2"),
-        GlobalModel(round=9, weights=w),
-        DeltaSubmission(client_id="n1", round=4, delta=delta, windows_trained=640),
-        Ack(),
-        Error(code=2, text="round 3: no delta from ['n2'] within 60s"),
-    ]
-    for msg in messages:
+    examples = {
+        Register: Register(client_id="bearing-β2"),
+        GlobalModel: GlobalModel(round=9, weights=w),
+        DeltaSubmission: DeltaSubmission(client_id="n1", round=4, delta=delta,
+                                         windows_trained=640),
+        Error: Error(code=2, text="round 3: no delta from ['n2'] within 60s"),
+    }
+    for cls in MESSAGE_TYPES:  # a type without an example fails here
+        msg = examples[cls]
         back = decode_frame(encode_frame(msg))
         assert back == msg
-    ds = decode_frame(encode_frame(messages[2]))
+    ds = decode_frame(encode_frame(examples[DeltaSubmission]))
     assert ds.delta.base_round == 4 and ds.windows_trained == 640
+
+
+def test_wire_retired_type_code_is_unknown():
+    assert 4 not in MESSAGE_TYPES.values()
+    with pytest.raises(WireError, match="unknown message type 4"):
+        decode_frame(MAGIC + struct.pack("<BBQ", VERSION, 4, 0))
 
 
 def test_wire_round_trip_many_random_weight_sets():
@@ -380,7 +387,7 @@ def test_wire_error_offsets_point_into_frame():
 def test_read_frame_from_stream():
     rng = np.random.default_rng(15)
     msgs = [Register(client_id="a"), GlobalModel(round=0, weights=_random_weights(rng)),
-            Ack()]
+            Error(code=3, text="")]
     stream = b"".join(encode_frame(m) for m in msgs)
     pos = [0]
 
@@ -452,7 +459,7 @@ def test_message_schema_carries_no_sample_fields():
     """No message variant has a field that could hold raw measurements:
     only identifiers, counters, weight containers, and error text."""
     allowed = {str, int, ModelWeights, WeightDelta}
-    for cls in (Register, GlobalModel, DeltaSubmission, Ack, Error):
+    for cls in MESSAGE_TYPES:
         for f in dataclasses.fields(cls):
             assert f.type in {t.__name__ for t in allowed} or f.type in allowed, \
                 f"{cls.__name__}.{f.name} has unexpected type {f.type!r}"
