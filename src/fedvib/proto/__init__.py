@@ -18,7 +18,7 @@ from .wire import (
     Register,
     decode_frame,
     encode_frame,
-    read_frame,
+    take_frame,
     weights_payload_size,
 )
 
@@ -46,6 +46,6 @@ __all__ = [
     "Register",
     "decode_frame",
     "encode_frame",
-    "read_frame",
+    "take_frame",
     "weights_payload_size",
 ]

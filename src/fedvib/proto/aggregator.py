@@ -1,9 +1,12 @@
 """Aggregation-node lifecycle: registration, synchronous rounds, FedAvg.
 
-Structure: an acceptor thread and one reader thread per accepted connection
-feed one inbox of events; the coordinator (the thread in ``run``) alone
-applies them, through ``_handle``, so it is the only writer of state and
-endpoints.  The registry holds the clients registered and still connected.
+Structure: the thread in ``run`` serves every connection alone, through one
+selector over the listener and every accepted endpoint.  It reads a
+connection only once the socket is readable and the frames read before have
+all been applied, with a read that does not wait; so a peer's frames that
+it has not read stay in that peer's socket, held back by flow control, and a
+peer that sends half a frame blocks no one.  The registry holds the clients
+registered and still connected.
 
 Round protocol: once the expected clients have registered, the coordinator
 sends every registered client the round-0 global model.  Round r's
@@ -13,9 +16,9 @@ averages them in sorted client id order, applies the mean to the global
 model, and sends the round-r+1 model to every registered client.  So a
 client only ever holds the model of a round it takes part in: one that
 registers mid-round receives nothing until the broadcast ending that round,
-and takes part from the next.  A delta from a client that is not a
-participant of the round in flight (registration is still open, or it
-joined mid-round) is a protocol error: the client gets an ERR_PROTOCOL
+and takes part from the next.  A delta from a client that owes none to the
+round in flight (registration is still open, it joined mid-round, or it has
+already submitted) is a protocol error: the client gets an ERR_PROTOCOL
 Error frame and its connection closes.  A client whose connection closes,
 breaks or fails a send leaves the registry.  The round aborts, with no
 partial aggregation, if a participant leaves before submitting, a delta is
@@ -25,8 +28,7 @@ would hold one.  Every FedvibError leaving ``run`` first reaches each
 registered client as an ERR_ROUND_ABORT Error frame.
 """
 
-import queue
-import threading
+import selectors
 import time
 from dataclasses import dataclass, field
 
@@ -153,36 +155,30 @@ class AggregationNode:
         self._windows = {}       # client id -> windows trained, this round
         self._sent_base = 0      # bytes already attributed to earlier records
         self._recv_base = 0
-        self._threads = []
-        self._inbox = queue.Queue()
-        self._stop = threading.Event()
+        self._sel = None         # selector over the listener and open endpoints
 
     # -- plumbing ------------------------------------------------------------
 
-    def _spawn(self, fn, *args):
-        t = threading.Thread(target=fn, args=args, daemon=True)
-        t.start()
-        self._threads.append(t)
-
-    def _acceptor(self, listener):
-        while not self._stop.is_set():
-            try:
-                conn = listener.accept(timeout=0.1)
-            except TransportError:
-                continue
-            if conn is None:
-                return
-            self._inbox.put(("connect", conn, None))
-
-    def _reader(self, conn):
-        """Forward one connection's messages, then ``closed`` with any error."""
-        error = None
+    def _accept(self, listener, state):
         try:
-            while (msg := conn.recv(timeout=None)) is not None:
-                self._inbox.put(("msg", conn, msg))
-        except (TransportError, WireError) as e:
-            error = e
-        self._inbox.put(("closed", conn, error))
+            conn = listener.accept(timeout=0)
+        except TransportError:  # the connection went away before its accept
+            return
+        if conn is not None:  # None: the listener closed
+            conn.max_payload = max_payload_size(self.global_weights.tensors)
+            self._endpoints.append(conn)
+            self._sel.register(conn, selectors.EVENT_READ, self._read)
+
+    def _read(self, conn, state):
+        """Read ``conn`` once and apply every message that read completed."""
+        try:
+            conn.read(timeout=0)
+            while not conn.closed and conn.ready():
+                self._handle(conn, conn.recv(), state)
+        except WireError as e:
+            self._reject(conn, state, ERR_PROTOCOL, str(e))
+        except TransportError as e:
+            self._drop(conn, state, e)
 
     def _send(self, conn, msg, state):
         try:
@@ -200,7 +196,9 @@ class AggregationNode:
 
     def _drop(self, conn, state, reason):
         """Close a connection and forget its client; abort if it owes a delta."""
-        conn.close()
+        if not conn.closed:
+            self._sel.unregister(conn)
+            conn.close()
         cid = self._clients.pop(conn, None)
         if (state is not None and cid in state.expected_clients
                 and cid not in state.received):
@@ -208,43 +206,31 @@ class AggregationNode:
                                   f"disconnected before submitting ({reason})")
 
     def _shutdown(self, listener):
-        self._stop.set()
+        self._sel.close()
         listener.close()
-        self._threads[0].join(timeout=5.0)  # the acceptor: no connect after this
-        while not self._inbox.empty():  # connections accepted, never handled
-            kind, conn, _ = self._inbox.get_nowait()
-            if kind == "connect":
-                self._endpoints.append(conn)
         for conn in self._endpoints:
             conn.close()
-        for t in self._threads:
-            t.join(timeout=5.0)
 
     # -- events --------------------------------------------------------------
 
     def _serve(self, state, done, timeout_s, waiting_for):
-        """Apply events until ``done()``; abort once ``timeout_s`` passes."""
+        """Apply messages until ``done()``; abort once ``timeout_s`` passes."""
         deadline = time.monotonic() + timeout_s
         while not done():
-            try:
-                event = self._inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                raise RoundAbortError(f"{waiting_for()} within {timeout_s}s") from None
-            self._handle(event, state)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise RoundAbortError(f"{waiting_for()} within {timeout_s}s")
+            for key, _ in self._sel.select(remaining):
+                if done():  # the rest stays readable for the next phase
+                    break
+                key.data(key.fileobj, state)
 
-    def _handle(self, event, state):
-        """Apply one event; ``state`` is the round in flight, or None while
-        clients register."""
-        kind, conn, msg = event
+    def _handle(self, conn, msg, state):
+        """Apply one message, None for a close; ``state`` is the round in
+        flight, or None while clients register."""
         cid = self._clients.get(conn)
-        if kind == "connect":
-            conn.max_payload = max_payload_size(self.global_weights.tensors)
-            self._endpoints.append(conn)
-            self._spawn(self._reader, conn)
-        elif kind == "closed" and isinstance(msg, WireError):
-            self._reject(conn, state, ERR_PROTOCOL, str(msg))
-        elif kind == "closed":
-            self._drop(conn, state, msg or "connection closed")
+        if msg is None:
+            self._drop(conn, state, "connection closed")
         elif cid is None and not isinstance(msg, Register):
             self._reject(conn, state, ERR_PROTOCOL,
                          f"expected Register, got {type(msg).__name__}")
@@ -261,9 +247,9 @@ class AggregationNode:
             self._send(conn, Error(code=ERR_PROTOCOL,
                                    text=f"submission claims {msg.client_id!r} "
                                         f"but the connection registered {cid!r}"), state)
-        elif state is None or cid not in state.expected_clients:
+        elif state is None or cid not in state.expected_clients or cid in state.received:
             self._reject(conn, state, ERR_PROTOCOL,
-                         f"delta from {cid!r}, which takes part in no round in flight")
+                         f"delta from {cid!r}, which owes none to a round in flight")
         else:
             try:
                 state.record(cid, msg.delta)
@@ -275,7 +261,8 @@ class AggregationNode:
 
     def run(self, listener):
         """Serve one full federation; returns the per-round records."""
-        self._spawn(self._acceptor, listener)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(listener, selectors.EVENT_READ, self._accept)
         try:
             self._serve(None, lambda: len(self._clients) >= self.expected_clients,
                         self.registration_timeout_s,
@@ -299,17 +286,11 @@ class AggregationNode:
         self._windows = {}
         self._serve(state, state.complete, self.round_timeout_s,
                     lambda: f"round {r}: no delta from {state.missing}")
-
-        # Snapshot received bytes now, while every participant is blocked
-        # awaiting the next model: once the broadcast unblocks a fast client
-        # its round r+1 delta could hit a reader thread before we stamp the
-        # record, smearing its bytes into this round.
-        recv1 = sum(c.bytes_received for c in self._endpoints)
-
         self.global_weights = state.aggregate()
         self._broadcast(GlobalModel(round=r + 1, weights=self.global_weights))
 
         sent1 = sum(c.bytes_sent for c in self._endpoints)
+        recv1 = sum(c.bytes_received for c in self._endpoints)
         self._sent_base, self._recv_base = sent1, recv1
         self.records.append(RoundRecord(
             round=r,

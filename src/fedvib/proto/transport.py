@@ -3,30 +3,32 @@ process for simulation or over TCP for deployment.
 
 Every endpoint is a :class:`SocketEndpoint`:
 
-* ``send(message) -> int`` — encode one message, write the frame, return
-  its byte length (also added to ``bytes_sent``); TransportError once the
-  peer has closed.
+* ``send(message) -> int`` — encode one message, write the frame, blocking
+  until it is written, and return its byte length (also added to
+  ``bytes_sent``); TransportError once the peer has closed.
 * ``recv(timeout=None) -> message | None`` — next decoded message; ``None``
-  once the peer has closed; TransportError on timeout.  A header announcing
-  more than ``max_payload`` bytes raises WireError before any payload is read.
-* ``close()`` — idempotent.
+  once the peer has closed, a reset included; TransportError on timeout.
+* ``read(timeout)`` — one socket read into the receive buffer; ``ready()``
+  then says whether ``recv`` would return without waiting.  A selecting
+  server reads with timeout 0, so a peer that sends half a frame cannot
+  block it.  A header announcing more than ``max_payload`` bytes raises
+  WireError before any payload is awaited; so does a close mid-frame.
+* ``fileno()``, and ``close()`` — idempotent; ``closed`` once it ran.
 
-Only the rendezvous differs: :class:`InProcessHub` queues the server ends of
-``socket.socketpair()`` connections for an accept loop, :class:`SocketServer`
-accepts TCP connections.  So both transports share the frame bound, the
-failure handling and the byte counters, and traffic accounting is the same
-whether a federation runs in one process or across machines.
+Only the rendezvous differs: :class:`InProcessHub` hands the server ends of
+``socket.socketpair()`` connections to ``accept``, :class:`SocketServer`
+accepts TCP connections; the ``fileno()`` of each is readable while a
+connection waits.  So both transports share the frame bound, the failure
+handling and the byte counters, and traffic accounting is the same whether a
+federation runs in one process or across machines.
 """
 
-import queue
 import socket
 import threading
 import time
 
-from ..errors import TransportError
-from .wire import HEADER_SIZE, decode_frame, encode_frame, read_frame
-
-_CLOSE = object()
+from ..errors import TransportError, WireError
+from .wire import HEADER_SIZE, decode_frame, encode_frame, take_frame
 
 
 class SocketEndpoint:
@@ -36,51 +38,61 @@ class SocketEndpoint:
 
     def __init__(self, sock):
         self._sock = sock
-        self._send_lock = threading.Lock()
-        self._closed = False
+        self._buf = bytearray()  # bytes read and not yet cut into a frame
+        self._frame = None       # the next whole frame, cut off by ready()
+        self._eof = False
+        self.closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _read_exact(self, n):
-        chunks = []
-        remaining = n
-        while remaining:
-            try:
-                chunk = self._sock.recv(min(remaining, 1 << 20))
-            except socket.timeout:
-                raise TransportError("receive timed out") from None
-            except OSError as e:
-                raise TransportError(f"socket receive failed: {e}") from None
-            if not chunk:
-                break
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+    def fileno(self):
+        return self._sock.fileno()
+
+    def read(self, timeout):
+        """One socket read into the receive buffer, waiting at most ``timeout``."""
+        try:
+            self._sock.settimeout(timeout)
+            chunk = self._sock.recv(1 << 20)
+        except (socket.timeout, BlockingIOError):
+            raise TransportError("receive timed out") from None
+        except ConnectionResetError:  # the peer closed before reading it all
+            chunk = b""
+        except OSError as e:
+            raise TransportError(f"socket receive failed: {e}") from None
+        self._buf += chunk
+        self._eof = not chunk
+
+    def ready(self):
+        """True when ``recv`` returns without waiting: a whole frame is
+        buffered, or the peer has closed."""
+        if self._frame is None:
+            self._frame = take_frame(self._buf, self.max_payload)
+        return self._frame is not None or self._eof
 
     def send(self, message):
         frame = encode_frame(message)
-        with self._send_lock:
-            try:
-                self._sock.sendall(frame)
-            except OSError as e:
-                raise TransportError(f"socket send failed: {e}") from None
+        try:
+            self._sock.settimeout(None)  # whatever mode the last read left
+            self._sock.sendall(frame)
+        except OSError as e:
+            raise TransportError(f"socket send failed: {e}") from None
         self.bytes_sent += len(frame)
         return len(frame)
 
     def recv(self, timeout=None):
-        try:
-            self._sock.settimeout(timeout)
-        except OSError:
-            return None  # closed underneath us
-        frame = read_frame(self._read_exact, self.max_payload)
+        while not self.ready():
+            self.read(timeout)
+        frame, self._frame = self._frame, None
         if frame is None:
+            if self._buf:
+                raise WireError("connection closed mid-frame", offset=len(self._buf))
             return None
         self.bytes_received += len(frame)
         return decode_frame(frame)
 
     def close(self):
-        if not self._closed:
-            self._closed = True
+        if not self.closed:
+            self.closed = True
             try:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
@@ -95,13 +107,18 @@ class QueueEndpoint(SocketEndpoint):
 
 
 class InProcessHub:
-    """Rendezvous point handing the server ends of socket pairs to an
-    accept loop."""
+    """Rendezvous point handing the server ends of socket pairs to
+    ``accept``.  Its doorbell holds one byte per end not yet accepted, so
+    ``fileno()`` is readable while one waits, and at EOF once closed."""
 
     def __init__(self):
-        self._pending = queue.Queue()
+        self._pending = []
         self._lock = threading.Lock()
+        self._bell, self._ring = socket.socketpair()
         self._closed = False
+
+    def fileno(self):
+        return self._bell.fileno()
 
     def connect(self):
         """Create a connected socket pair; returns the client side."""
@@ -109,32 +126,31 @@ class InProcessHub:
             if self._closed:
                 raise TransportError("hub is closed")
             client, server = socket.socketpair()
-            self._pending.put(SocketEndpoint(server))
+            self._pending.append(SocketEndpoint(server))
+            self._ring.send(b"\0")
         return SocketEndpoint(client)
 
     def accept(self, timeout=None):
         """Server side: next freshly connected endpoint; None once closed."""
         try:
-            conn = self._pending.get(timeout=timeout)
-        except queue.Empty:
+            self._bell.settimeout(timeout)
+            self._bell.recv(1)
+        except (socket.timeout, BlockingIOError):
             raise TransportError(f"accept timed out after {timeout}s") from None
-        if conn is _CLOSE:
-            self._pending.put(_CLOSE)
-            return None
-        return conn
+        except OSError:
+            return None  # the doorbell closed with the hub
+        with self._lock:
+            return None if self._closed else self._pending.pop(0)
 
     def close(self):
         """Refuse further connects and close every server end not accepted."""
         with self._lock:
             self._closed = True
-            while True:
-                try:
-                    conn = self._pending.get_nowait()
-                except queue.Empty:
-                    break
-                if conn is not _CLOSE:
-                    conn.close()
-            self._pending.put(_CLOSE)
+            for conn in self._pending:
+                conn.close()
+            self._pending.clear()
+            self._ring.close()
+            self._bell.close()
 
 
 # -- TCP ---------------------------------------------------------------------
@@ -146,11 +162,14 @@ class SocketServer:
         self._sock = socket.create_server((host, port), backlog=backlog)
         self.host, self.port = self._sock.getsockname()[:2]
 
+    def fileno(self):
+        return self._sock.fileno()
+
     def accept(self, timeout=None):
         try:
             self._sock.settimeout(timeout)
             conn, _addr = self._sock.accept()
-        except socket.timeout:
+        except (socket.timeout, BlockingIOError):
             raise TransportError(f"accept timed out after {timeout}s") from None
         except OSError:
             return None  # listener closed

@@ -256,24 +256,22 @@ def decode_frame(data):
     return msg
 
 
-def read_frame(read, max_payload=None):
-    """Assemble one frame from a ``read(n) -> bytes`` callable (short reads
-    signal EOF).  Returns the raw frame bytes, or None on clean EOF before
-    any byte arrives.  A header announcing more than ``max_payload`` bytes
-    raises WireError before any of the payload is read."""
-    header = read(HEADER_SIZE)
-    if not header:
+def take_frame(buf, max_payload=None):
+    """Cut the first whole frame off the front of ``buf`` (a bytearray) and
+    return its bytes, or None while it is incomplete.  A header with bad
+    magic, or one announcing more than ``max_payload`` bytes, raises
+    WireError as soon as it is in, before any of the payload is awaited."""
+    if len(buf) < HEADER_SIZE:
         return None
-    if len(header) < HEADER_SIZE:
-        raise WireError("connection closed mid-header", offset=len(header))
-    if header[:4] != MAGIC:
-        raise WireError(f"bad magic {header[:4]!r}, expected {MAGIC!r}", offset=0)
-    (payload_len,) = struct.unpack("<Q", header[6:14])
+    if buf[:4] != MAGIC:
+        raise WireError(f"bad magic {bytes(buf[:4])!r}, expected {MAGIC!r}", offset=0)
+    (payload_len,) = struct.unpack_from("<Q", buf, 6)
     if max_payload is not None and payload_len > max_payload:
         raise WireError(f"payload length {payload_len} exceeds the "
                         f"{max_payload}-byte limit", offset=6)
-    payload = read(payload_len) if payload_len else b""
-    if len(payload) < payload_len:
-        raise WireError("connection closed mid-payload",
-                        offset=HEADER_SIZE + len(payload))
-    return header + payload
+    size = HEADER_SIZE + payload_len
+    if len(buf) < size:
+        return None
+    frame = bytes(buf[:size])
+    del buf[:size]
+    return frame

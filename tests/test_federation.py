@@ -41,6 +41,7 @@ from fedvib.proto import (
     GlobalModel,
     ModelWeights,
     Register,
+    RoundState,
     TrainingNode,
     TrainingNodeConfig,
     WeightDelta,
@@ -445,6 +446,7 @@ def test_late_joiner_that_leaves_is_not_expected_next_round(hub):
 def test_second_register_on_a_connection_is_refused(hub):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
+    before = set(threading.enumerate())
     t, box = _start_aggregator(agg, hub)
     eps, models = _register_all(hub, ["a", "b"])
 
@@ -453,8 +455,8 @@ def test_second_register_on_a_connection_is_refused(hub):
     assert isinstance(err, Error) and err.code == ERR_PROTOCOL
     assert "'a'" in err.text
     assert _registered(agg) == ["a", "b"]
-    # the acceptor plus one reader per connection
-    assert sum(th.is_alive() for th in agg._threads) == 3
+    # run serves every connection from its own thread: it starts none
+    assert set(threading.enumerate()) - before == {t}
 
     models = _submit_round(eps, models, 0)
     _submit_round(eps, models, 1)
@@ -541,10 +543,7 @@ def test_pre_round_delta_is_refused(hub):
     err = a.recv(timeout=5.0)
     assert isinstance(err, Error) and err.code == ERR_PROTOCOL, err
     assert "'a'" in err.text
-    try:  # closed, with a reset if a's later deltas were still unread then
-        assert a.recv(timeout=5.0) is None
-    except TransportError as e:
-        assert "reset" in str(e)
+    assert a.recv(timeout=5.0) is None  # closed, even with a's deltas unread
     a.close()
     _until(lambda: _registered(agg) == [])
     assert t.is_alive() and "error" not in box
@@ -558,6 +557,113 @@ def test_pre_round_delta_is_refused(hub):
     assert agg.global_weights == init  # none of a's deltas was averaged in
 
 
+def test_duplicate_delta_ends_only_its_sender(hub):
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+
+    delta = DeltaSubmission("a", 0, _zero_delta(models["a"].weights, 0))
+    eps["a"].send(delta)
+    eps["a"].send(delta)
+    err = eps["a"].recv(timeout=5.0)
+    assert isinstance(err, Error) and err.code == ERR_PROTOCOL, err
+    assert "'a'" in err.text
+    assert eps["a"].recv(timeout=5.0) is None
+    del eps["a"]
+
+    # round 0 completes with a's first delta; round 1 expects only b
+    models = _submit_round(eps, models, 0)
+    _submit_round(eps, models, 1)
+    t.join(timeout=10.0)
+    assert not t.is_alive() and "error" not in box
+    assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["b"]]
+
+
+def test_a_flooding_peer_is_not_read_while_the_aggregator_is_busy(hub, monkeypatch):
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    flooder_conn = []
+    gained = []
+    aggregate = RoundState.aggregate
+
+    def slow_aggregate(state):
+        before = flooder_conn[0].bytes_received
+        time.sleep(1.0)
+        gained.append(flooder_conn[0].bytes_received - before)
+        return aggregate(state)
+
+    monkeypatch.setattr(RoundState, "aggregate", slow_aggregate)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+    c = hub.connect()
+    c.send(Register("c"))
+    _until(lambda: _registered(agg) == ["a", "b", "c"])
+    flooder_conn.extend(conn for conn, cid in agg._clients.items() if cid == "c")
+
+    # mis-addressed deltas: each one earns c an Error, c keeps its connection
+    junk = DeltaSubmission("z", 0, WeightDelta({"w": np.zeros(4096, np.float32)},
+                                               base_round=0))
+
+    def flood():
+        try:
+            while True:
+                c.send(junk)
+        except TransportError:  # the aggregator closed c when run returned
+            pass
+
+    def drain():
+        try:
+            while c.recv() is not None:
+                pass
+        except TransportError:
+            pass
+
+    workers = [threading.Thread(target=fn, daemon=True) for fn in (flood, drain)]
+    for w in workers:
+        w.start()
+    _submit_round(eps, models, 0)
+    t.join(timeout=10.0)
+    for w in workers:
+        w.join(timeout=10.0)
+    c.close()
+    assert not t.is_alive() and "error" not in box
+    assert not any(w.is_alive() for w in workers)
+    # what the aggregator read from c while it aggregated: one read at most
+    assert gained[0] <= (1 << 20) + flooder_conn[0].max_payload
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_half_sent_header_blocks_no_one(hub, transport):
+    listener = hub if transport == "in_process" else serve_sockets()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+                          registration_timeout_s=30.0, round_timeout_s=30.0)
+    t, box = _start_aggregator(agg, listener)
+
+    def connect():
+        if transport == "in_process":
+            return hub.connect()
+        return connect_socket("127.0.0.1", listener.port)
+
+    stalled = connect()
+    eps = {}
+    try:
+        stalled._sock.sendall(MAGIC + bytes([VERSION]))  # 5 of 14 header bytes
+        started = time.monotonic()
+        eps = {cid: connect() for cid in ("a", "b")}
+        for cid, ep in eps.items():
+            ep.send(Register(cid))
+        models = {cid: ep.recv(timeout=5.0) for cid, ep in eps.items()}
+        _submit_round(eps, models, 0)
+        t.join(timeout=10.0)
+        assert not t.is_alive() and "error" not in box
+        assert time.monotonic() - started < 10.0
+        assert box["records"][0].client_ids == ["a", "b"]
+    finally:
+        for ep in (stalled, *eps.values()):
+            ep.close()
+
+
 def test_failed_send_drops_only_that_peer(hub):
     accepted = []
 
@@ -569,6 +675,9 @@ def test_failed_send_drops_only_that_peer(hub):
 
         def close(self):
             hub.close()
+
+        def fileno(self):
+            return hub.fileno()
 
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)

@@ -2,6 +2,7 @@
 and round-state bookkeeping."""
 
 import dataclasses
+import socket
 import struct
 
 import numpy as np
@@ -23,6 +24,7 @@ from fedvib.proto import (
     fedavg,
     weights_payload_size,
 )
+from fedvib.proto.transport import SocketEndpoint
 from fedvib.proto.wire import (
     HEADER_SIZE,
     MAGIC,
@@ -31,7 +33,7 @@ from fedvib.proto.wire import (
     MSG_DELTA_SUBMISSION,
     VERSION,
     max_payload_size,
-    read_frame,
+    take_frame,
 )
 
 
@@ -384,73 +386,61 @@ def test_wire_error_offsets_point_into_frame():
     assert 0 <= err.value.offset <= len(frame)
 
 
-def test_read_frame_from_stream():
+def test_take_frame_from_stream():
     rng = np.random.default_rng(15)
     msgs = [Register(client_id="a"), GlobalModel(round=0, weights=_random_weights(rng)),
             Error(code=3, text="")]
     stream = b"".join(encode_frame(m) for m in msgs)
-    pos = [0]
-
-    def read(n):
-        chunk = stream[pos[0]:pos[0] + n]
-        pos[0] += len(chunk)
-        return chunk
-
-    seen = []
-    while True:
-        frame = read_frame(read)
-        if frame is None:
-            break
-        seen.append(decode_frame(frame))
-    assert seen == msgs
+    for chunk in (1, 7, HEADER_SIZE, 100, len(stream)):
+        buf, seen = bytearray(), []
+        for at in range(0, len(stream), chunk):
+            buf += stream[at:at + chunk]
+            while (frame := take_frame(buf)) is not None:
+                seen.append(decode_frame(frame))
+        assert seen == msgs and not buf
 
 
-def test_read_frame_partial_stream_errors():
+def _endpoint_reading(data):
+    """The receiving endpoint of a socket pair whose peer sent ``data`` and
+    closed."""
+    ours, theirs = socket.socketpair()
+    theirs.sendall(data)
+    theirs.close()
+    return SocketEndpoint(ours)
+
+
+def test_take_frame_partial_stream_errors():
     frame = encode_frame(Register(client_id="abc"))
-
-    def reader_of(data):
-        pos = [0]
-
-        def read(n):
-            chunk = data[pos[0]:pos[0] + n]
-            pos[0] += len(chunk)
-            return chunk
-        return read
-
-    with pytest.raises(WireError):
-        read_frame(reader_of(frame[:7]))   # mid-header
-    with pytest.raises(WireError):
-        read_frame(reader_of(frame[:-2]))  # mid-payload
-    assert read_frame(reader_of(b"")) is None
+    for partial in (frame[:7], frame[:-2]):  # mid-header, mid-payload
+        buf = bytearray(partial)
+        assert take_frame(buf) is None and buf == partial  # waits for the rest
+        endpoint = _endpoint_reading(partial)
+        with pytest.raises(WireError, match="closed mid-frame"):
+            endpoint.recv(timeout=5.0)
+        endpoint.close()
+    endpoint = _endpoint_reading(frame)
+    assert endpoint.recv(timeout=5.0) == Register(client_id="abc")
+    assert endpoint.recv(timeout=5.0) is None  # clean close between frames
+    endpoint.close()
 
 
-def test_read_frame_bounds_payload_from_the_header():
+def test_take_frame_bounds_payload_from_the_header():
     weights = _random_weights(np.random.default_rng(16))
     bound = max_payload_size(weights.tensors)
-    requested = []
-
-    def reader_of(data):
-        pos = [0]
-
-        def read(n):
-            requested.append(n)
-            chunk = data[pos[0]:pos[0] + n]
-            pos[0] += len(chunk)
-            return chunk
-        return read
 
     # the largest legal frame, a delta under a maximal client id, fits exactly
     largest = encode_frame(DeltaSubmission(
         client_id="x" * MAX_NAME_LEN, round=0,
         delta=WeightDelta(weights.tensors, base_round=0)))
     assert len(largest) == HEADER_SIZE + bound
-    assert read_frame(reader_of(largest), bound) == largest
+    assert take_frame(bytearray(largest), bound) == largest
 
-    requested.clear()
+    # refused from the header alone, before any payload byte has arrived
     header = MAGIC + struct.pack("<BBQ", VERSION, MSG_DELTA_SUBMISSION, 2**40)
     with pytest.raises(WireError, match="limit"):
-        read_frame(reader_of(header + b"\0" * 64), bound)
-    assert max(requested) <= bound
+        take_frame(bytearray(header), bound)
+    with pytest.raises(WireError, match="magic"):
+        take_frame(bytearray(b"XXXX" + header[4:]), bound)
 
 
 # -- privacy schema ----------------------------------------------------------
