@@ -1,10 +1,10 @@
 """Hosting a whole federation in one process and merging its bookkeeping.
 
 Every participant runs in its own thread: the aggregation node in the calling
-thread, each training node in a worker.  Nodes connect either through the
-in-process hub's socket pairs or over localhost TCP; both ends are the same
-socket endpoints and count the same encoded frames, so byte accounting is
-transport-independent.
+thread, each training node in a worker.  Nodes connect either to the
+in-process hub, a Unix socket in a private temporary directory, or over
+localhost TCP; both listeners are socket servers whose endpoints count the
+same encoded frames, so byte accounting is transport-independent.
 """
 
 import threading
@@ -21,7 +21,6 @@ from ..proto import (
     ModelWeights,
     TrainingNode,
     TrainingNodeConfig,
-    connect_socket,
     serve_sockets,
 )
 from ..proto.aggregator import ROUND_TIMEOUT_S
@@ -119,23 +118,14 @@ def run_nodes(agg, nodes, transport):
     this returns or raises.  A failure is re-raised unchanged: the first node
     error that is not a round abort, else the aggregator's.
     """
-    if transport == "sockets":
-        listener = serve_sockets()
-        port = listener.port
-
-        def connect():
-            return connect_socket("127.0.0.1", port)
-    elif transport == "in_process":
-        listener = InProcessHub()
-        connect = listener.connect
-    else:
+    if transport not in TRANSPORTS:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
-
+    listener = InProcessHub() if transport == "in_process" else serve_sockets()
     results, failures = [None] * len(nodes), []
 
     def work(index, node):
         try:
-            results[index] = node.run(connect())
+            results[index] = node.run(listener.connect())
         except Exception as e:  # re-raised after join
             failures.append(e)
 
@@ -161,9 +151,10 @@ def run_federation(setups, config, window_schedules=None):
     """Run one complete federation over the prepared node setups.
 
     ``window_schedules`` optionally maps node id to a callable
-    ``round_index -> max training windows`` (the cold-start ramp); absent
-    entries train on everything.  Returns a :class:`FederationResult`; a
-    failure is re-raised as :func:`run_nodes` describes.
+    ``round_index -> max training windows`` (the cold-start ramp), which
+    fills that node's ``window_schedule``; absent entries train on
+    everything.  Returns a :class:`FederationResult`; a failure is re-raised
+    as :func:`run_nodes` describes.
     """
     acfg = config.autoencoder
     init = build_autoencoder(acfg, seed=config.seed).weights_dict()
@@ -172,6 +163,8 @@ def run_federation(setups, config, window_schedules=None):
                           rounds=config.rounds,
                           registration_timeout_s=REGISTRATION_TIMEOUT_S,
                           round_timeout_s=ROUND_TIMEOUT_S)
+    caps = {cid: tuple(map(schedule, range(config.rounds)))
+            for cid, schedule in (window_schedules or {}).items()}
     nodes = [
         TrainingNode(
             TrainingNodeConfig(
@@ -182,7 +175,7 @@ def run_federation(setups, config, window_schedules=None):
                 threshold_mode=config.threshold_mode,
                 score_mode=config.score_mode,
                 seed=config.seed + index,
-                window_schedule=(window_schedules or {}).get(setup.node_id)),
+                window_schedule=caps.get(setup.node_id)),
             setup.train_windows, setup.val_windows,
             test_batches=setup.test_batches,
             test_offset=setup.test_offset)

@@ -19,13 +19,19 @@ registers mid-round receives nothing until the broadcast ending that round,
 and takes part from the next.  A delta from a client that owes none to the
 round in flight (registration is still open, it joined mid-round, or it has
 already submitted) is a protocol error: the client gets an ERR_PROTOCOL
-Error frame and its connection closes.  A client whose connection closes,
-breaks or fails a send leaves the registry.  The round aborts, with no
-partial aggregation, if a participant leaves before submitting, a delta is
-missing at the timeout, a delta's tensor names or shapes differ from the
-global model's or it holds a non-finite value, or the new global model
-would hold one.  Every FedvibError leaving ``run`` first reaches each
-registered client as an ERR_ROUND_ABORT Error frame.
+Error frame and its connection closes.  A delta for another round from a
+client that still owes this round's earns the Error too, but the client
+keeps its connection for the delta it owes.  An Error to one client does
+not wait: a client that cannot take it at once is not reading.  A
+broadcast waits at most ``round_timeout_s`` in all.  A client whose
+connection closes or breaks, or whose send fails or times out, leaves the
+registry; one that does not read cannot read an Error either, so it only
+gets the close.  The round aborts, with no partial aggregation, if a
+participant leaves before submitting, a delta is missing at the timeout, a
+delta's tensor names or shapes differ from the global model's or it holds a
+non-finite value, or the new global model would hold one.  Every
+FedvibError leaving ``run`` first reaches each registered client as an
+ERR_ROUND_ABORT Error frame.
 """
 
 import selectors
@@ -180,15 +186,16 @@ class AggregationNode:
         except TransportError as e:
             self._drop(conn, state, e)
 
-    def _send(self, conn, msg, state):
+    def _send(self, conn, msg, state, timeout_s=0.0):
         try:
-            conn.send(msg)
+            conn.send(msg, timeout=timeout_s)
         except TransportError as e:
             self._drop(conn, state, e)
 
     def _broadcast(self, msg):
+        deadline = time.monotonic() + self.round_timeout_s
         for conn, _ in sorted(self._clients.items(), key=lambda item: item[1]):
-            self._send(conn, msg, None)
+            self._send(conn, msg, None, max(0.0, deadline - time.monotonic()))
 
     def _reject(self, conn, state, code, text):
         self._send(conn, Error(code=code, text=text), state)
@@ -250,6 +257,10 @@ class AggregationNode:
         elif state is None or cid not in state.expected_clients or cid in state.received:
             self._reject(conn, state, ERR_PROTOCOL,
                          f"delta from {cid!r}, which owes none to a round in flight")
+        elif msg.round != state.round:
+            self._send(conn, Error(code=ERR_PROTOCOL,
+                                   text=f"delta for round {msg.round} from {cid!r} "
+                                        f"during round {state.round}"), state)
         else:
             try:
                 state.record(cid, msg.delta)

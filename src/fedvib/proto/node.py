@@ -55,8 +55,8 @@ class TrainingNodeConfig:
     # outlasts the aggregator's default round timeout, so that the aggregator's
     # abort, and its reason, reaches the node before the node gives up
     recv_timeout_s: float = ROUND_TIMEOUT_S + 60.0
-    # round_index (0-based) -> max training windows; None trains on all
-    window_schedule: object = None
+    # max training windows in each round, from round 0; None trains on all
+    window_schedule: tuple = None
 
     def __post_init__(self):
         if not self.client_id:
@@ -71,6 +71,9 @@ class TrainingNodeConfig:
             raise ConfigError(f"threshold_mode must be one of {THRESHOLD_MODES}")
         if self.score_mode not in SCORE_MODES:
             raise ConfigError(f"score_mode must be one of {SCORE_MODES}")
+        if self.window_schedule is not None and len(self.window_schedule) < self.rounds:
+            raise ConfigError(f"window_schedule needs {self.rounds} rounds' caps, "
+                              f"got {len(self.window_schedule)}")
 
 
 @dataclass
@@ -149,7 +152,7 @@ class TrainingNode:
             t0 = time.perf_counter()
             windows = self.train_windows
             if cfg.window_schedule is not None:
-                windows = windows[:cfg.window_schedule(r)]
+                windows = windows[:cfg.window_schedule[r]]
             result = train_epochs(
                 model, windows, cfg.train, cfg.epochs_per_round, seed=cfg.seed,
                 epoch_offset=r * cfg.epochs_per_round,

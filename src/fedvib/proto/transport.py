@@ -1,11 +1,13 @@
-"""Transports: length-framed messages over stream sockets, paired inside one
-process for simulation or over TCP for deployment.
+"""Transports: length-framed messages over stream sockets, over a Unix
+socket for simulation inside one process or over TCP for deployment.
 
 Every endpoint is a :class:`SocketEndpoint`:
 
-* ``send(message) -> int`` — encode one message, write the frame, blocking
-  until it is written, and return its byte length (also added to
-  ``bytes_sent``); TransportError once the peer has closed.
+* ``send(message, timeout=None) -> int`` — encode one message and write the
+  frame, waiting at most ``timeout`` seconds in all (None: until written);
+  returns its byte length (also added to ``bytes_sent``).  TransportError
+  once the peer has closed, or on timeout, after which the stream may end
+  mid-frame and the endpoint is only fit to close.
 * ``recv(timeout=None) -> message | None`` — next decoded message; ``None``
   once the peer has closed, a reset included; TransportError on timeout.
 * ``read(timeout)`` — one socket read into the receive buffer; ``ready()``
@@ -15,16 +17,19 @@ Every endpoint is a :class:`SocketEndpoint`:
   WireError before any payload is awaited; so does a close mid-frame.
 * ``fileno()``, and ``close()`` — idempotent; ``closed`` once it ran.
 
-Only the rendezvous differs: :class:`InProcessHub` hands the server ends of
-``socket.socketpair()`` connections to ``accept``, :class:`SocketServer`
-accepts TCP connections; the ``fileno()`` of each is readable while a
-connection waits.  So both transports share the frame bound, the failure
-handling and the byte counters, and traffic accounting is the same whether a
-federation runs in one process or across machines.
+Every listener is a :class:`SocketServer`: ``accept`` yields endpoints,
+``connect`` opens the client side of one, and ``fileno()`` is readable while
+a connection waits.  Only the address family differs: :class:`InProcessHub`
+listens on a Unix socket in a private temporary directory, ``serve_sockets``
+on TCP.  So both transports share the frame bound, the failure handling and
+the byte counters, and traffic accounting is the same whether a federation
+runs in one process or across machines.
 """
 
+import os
+import shutil
 import socket
-import threading
+import tempfile
 import time
 
 from ..errors import TransportError, WireError
@@ -69,10 +74,10 @@ class SocketEndpoint:
             self._frame = take_frame(self._buf, self.max_payload)
         return self._frame is not None or self._eof
 
-    def send(self, message):
+    def send(self, message, timeout=None):
         frame = encode_frame(message)
         try:
-            self._sock.settimeout(None)  # whatever mode the last read left
+            self._sock.settimeout(timeout)
             self._sock.sendall(frame)
         except OSError as e:
             raise TransportError(f"socket send failed: {e}") from None
@@ -106,57 +111,9 @@ class QueueEndpoint(SocketEndpoint):
     (ROADMAP item 2).  Nothing in fedvib creates one."""
 
 
-class InProcessHub:
-    """Rendezvous point handing the server ends of socket pairs to
-    ``accept``.  Its doorbell holds one byte per end not yet accepted, so
-    ``fileno()`` is readable while one waits, and at EOF once closed."""
-
-    def __init__(self):
-        self._pending = []
-        self._lock = threading.Lock()
-        self._bell, self._ring = socket.socketpair()
-        self._closed = False
-
-    def fileno(self):
-        return self._bell.fileno()
-
-    def connect(self):
-        """Create a connected socket pair; returns the client side."""
-        with self._lock:
-            if self._closed:
-                raise TransportError("hub is closed")
-            client, server = socket.socketpair()
-            self._pending.append(SocketEndpoint(server))
-            self._ring.send(b"\0")
-        return SocketEndpoint(client)
-
-    def accept(self, timeout=None):
-        """Server side: next freshly connected endpoint; None once closed."""
-        try:
-            self._bell.settimeout(timeout)
-            self._bell.recv(1)
-        except (socket.timeout, BlockingIOError):
-            raise TransportError(f"accept timed out after {timeout}s") from None
-        except OSError:
-            return None  # the doorbell closed with the hub
-        with self._lock:
-            return None if self._closed else self._pending.pop(0)
-
-    def close(self):
-        """Refuse further connects and close every server end not accepted."""
-        with self._lock:
-            self._closed = True
-            for conn in self._pending:
-                conn.close()
-            self._pending.clear()
-            self._ring.close()
-            self._bell.close()
-
-
-# -- TCP ---------------------------------------------------------------------
-
 class SocketServer:
-    """Listening socket that yields SocketEndpoints from accept()."""
+    """Listening TCP socket that yields SocketEndpoints from accept();
+    :class:`InProcessHub` is the same server on a Unix socket."""
 
     def __init__(self, host, port, backlog=16):
         self._sock = socket.create_server((host, port), backlog=backlog)
@@ -173,12 +130,45 @@ class SocketServer:
             raise TransportError(f"accept timed out after {timeout}s") from None
         except OSError:
             return None  # listener closed
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if conn.family != socket.AF_UNIX:  # Nagle's algorithm is TCP's alone
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn.settimeout(None)
         return SocketEndpoint(conn)
 
+    def connect(self):
+        return connect_socket(self.host, self.port)
+
     def close(self):
+        """Close the listener; connections not yet accepted are reset."""
         self._sock.close()
+
+
+class InProcessHub(SocketServer):
+    """A SocketServer on a Unix socket in a private temporary directory (mode
+    0700), so only this user can reach it.  ``path`` is its address; ``close``
+    removes the directory, after which ``connect`` fails."""
+
+    def __init__(self):
+        self._dir = tempfile.mkdtemp(prefix="fedvib-hub-")
+        self.path = os.path.join(self._dir, "hub")
+        try:
+            self._sock = socket.create_server(self.path, family=socket.AF_UNIX)
+        except OSError:
+            shutil.rmtree(self._dir, ignore_errors=True)
+            raise
+
+    def connect(self):
+        sock = socket.socket(socket.AF_UNIX)
+        try:
+            sock.connect(self.path)
+        except OSError as e:  # no retry: a closed hub's path does not come back
+            sock.close()
+            raise TransportError(f"hub is closed or unreachable: {e}") from None
+        return SocketEndpoint(sock)
+
+    def close(self):
+        super().close()
+        shutil.rmtree(self._dir, ignore_errors=True)
 
 
 def serve_sockets(host="127.0.0.1", port=0):

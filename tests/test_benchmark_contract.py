@@ -11,6 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedvib import harness
+from fedvib.data import SynthConfig
+from fedvib.model import AutoencoderConfig
+from fedvib.nn import TrainConfig
 from fedvib.proto import Register
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,3 +61,25 @@ def test_traced_in_process_frame_is_counted_once_each_way(perfbench, hub):
              if s.name.startswith("proto.transport.")]
     assert spans == [("proto.transport.send", frame_bytes),
                      ("proto.transport.recv", frame_bytes)]
+
+
+def test_run_federation_takes_window_schedules_as_callables():
+    # perfbench/workloads.py passes the cold-start ramp as one lambda per node
+    synth = SynthConfig(n_batches=20, batch_len=100, feature_count=1,
+                        base_frequencies=(50.0,), base_amplitudes=(1.0,),
+                        anomaly_indices=(19,))
+    specs = [harness.DatasetSpec(id=f"node{i}", kind="synthetic", seed=i, synth=synth)
+             for i in range(2)]
+    acfg = AutoencoderConfig(feature_count=1, window_size=10, outer_layer_sizes=(4,),
+                             encoding_size=2)
+    config = harness.ExperimentConfig(
+        scenario="cold_start", nodes=specs, autoencoder=acfg,
+        train=TrainConfig(batch_size=32), rounds=2, seed=0, transport="in_process")
+    setups = [harness.prepare_node(spec, acfg.window_size) for spec in specs]
+    schedules = {s.node_id: (lambda r, n=len(s.train_windows):
+                             harness.cold_start_windows(r + 1, n))
+                 for s in setups}
+    fed = harness.run_federation(setups, config, window_schedules=schedules)
+    # 120 training windows per node cap round 1's 128
+    assert [rec.windows_trained for rec in fed.records] == [
+        {"node0": 64, "node1": 64}, {"node0": 120, "node1": 120}]

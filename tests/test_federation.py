@@ -1,8 +1,11 @@
 """End-to-end federation tests over both transports, plus node/aggregator
 edge cases driven through scripted endpoints."""
 
+import glob
 import os
+import stat
 import struct
+import tempfile
 import threading
 import time
 
@@ -39,6 +42,7 @@ from fedvib.proto import (
     DeltaSubmission,
     Error,
     GlobalModel,
+    InProcessHub,
     ModelWeights,
     Register,
     RoundState,
@@ -193,15 +197,20 @@ class _LingeringNode(TrainingNode):
             time.sleep(0.2)
 
 
+def _hub_dirs():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "fedvib-hub-*")))
+
+
 @pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
 def test_no_thread_outlives_the_launcher(transport, failing):
     before = set(threading.enumerate())
     fds_before = len(os.listdir("/proc/self/fd"))
+    dirs_before = _hub_dirs()
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=20.0, round_timeout_s=60.0)
     # a window schedule of 0 makes n2's training raise in round 0
-    schedule = (lambda r: 0) if failing else None
+    schedule = (0, 0) if failing else None
     nodes = [make_node("n1", 1, rounds=2, node_cls=_LingeringNode),
              make_node("n2", 2, rounds=2, node_cls=_LingeringNode,
                        window_schedule=schedule)]
@@ -213,6 +222,7 @@ def test_no_thread_outlives_the_launcher(transport, failing):
         assert list(results) == ["n1", "n2"]
     assert set(threading.enumerate()) - before == set()
     assert len(os.listdir("/proc/self/fd")) == fds_before  # no endpoint left open
+    assert _hub_dirs() == dirs_before  # the hub removed its directory
 
 
 # -- scripted edge cases -----------------------------------------------------
@@ -580,6 +590,75 @@ def test_duplicate_delta_ends_only_its_sender(hub):
     assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["b"]]
 
 
+def test_a_stale_delta_ends_nobodys_run(hub):
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+    stale = DeltaSubmission("a", 0, _zero_delta(models["a"].weights, 0))
+    models = _submit_round(eps, models, 0)
+
+    eps["a"].send(stale)  # round 0's delta again, during round 1
+    err = eps["a"].recv(timeout=5.0)
+    assert isinstance(err, Error) and err.code == ERR_PROTOCOL, err
+    assert "round 0" in err.text and "round 1" in err.text
+    _submit_round(eps, models, 1)  # a kept its connection and its place
+    t.join(timeout=10.0)
+    assert not t.is_alive() and "error" not in box
+    assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["a", "b"]]
+
+
+def test_a_peer_that_does_not_read_cannot_stall_the_broadcast(hub):
+    # the default widths make a ~600 KB model frame, more than the socket
+    # buffers hold for a peer that never reads
+    wide = AutoencoderConfig(feature_count=1, window_size=20)
+    init = ModelWeights(build_autoencoder(wide, seed=GLOBAL_SEED).weights_dict())
+    agg = AggregationNode(init, expected_clients=2, rounds=0,
+                          registration_timeout_s=1.0, round_timeout_s=1.0)
+    t, box = _start_aggregator(agg, hub)
+    a, c = hub.connect(), hub.connect()
+    a.send(Register("a"))
+    c.send(Register("c"))
+    assert a.recv(timeout=5.0).weights == init
+    # c is dropped once the broadcast has taken the round timeout
+    t.join(timeout=5.0)
+    assert not t.is_alive() and box["records"] == []
+    assert _registered(agg) == ["a"]
+    assert a.recv(timeout=5.0) is None
+
+
+def test_a_peer_that_floods_and_never_reads_is_dropped(hub):
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
+                          registration_timeout_s=10.0, round_timeout_s=10.0)
+    t, box = _start_aggregator(agg, hub)
+    eps, models = _register_all(hub, ["a", "b"])
+    c = hub.connect()
+    c.send(Register("c"))
+    _until(lambda: _registered(agg) == ["a", "b", "c"])
+
+    # each mis-addressed delta earns c an Error, until c's socket is full
+    junk = DeltaSubmission("z", 0, WeightDelta({"w": np.zeros(16, np.float32)},
+                                               base_round=0))
+
+    def flood():
+        try:
+            while True:
+                c.send(junk)
+        except TransportError:  # the aggregator closed c
+            pass
+
+    flooder = threading.Thread(target=flood, daemon=True)
+    flooder.start()
+    _until(lambda: _registered(agg) == ["a", "b"])
+    _submit_round(eps, models, 0)
+    t.join(timeout=10.0)
+    flooder.join(timeout=10.0)
+    c.close()
+    assert not t.is_alive() and "error" not in box
+    assert not flooder.is_alive()
+    assert box["records"][0].client_ids == ["a", "b"]
+
+
 def test_a_flooding_peer_is_not_read_while_the_aggregator_is_busy(hub, monkeypatch):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=1,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
@@ -684,7 +763,7 @@ def test_failed_send_drops_only_that_peer(hub):
     t, box = _start_aggregator(agg, Listener())
     eps, models = _register_all(hub, ["a", "b"])
 
-    def unreachable(msg):
+    def unreachable(msg, timeout=None):
         raise TransportError("peer unreachable")
 
     accepted[1].send = unreachable  # the aggregator's side of b
@@ -745,6 +824,25 @@ def test_closing_the_hub_closes_unaccepted_connections(hub):
     assert client.recv(timeout=5.0) is None
     with pytest.raises(TransportError, match="hub is closed"):
         hub.connect()
+
+
+def test_two_hubs_can_be_open_at_once():
+    hubs = [InProcessHub(), InProcessHub()]
+    dirs = [os.path.dirname(h.path) for h in hubs]
+    try:
+        assert dirs[0] != dirs[1]
+        assert all(stat.S_IMODE(os.stat(d).st_mode) == 0o700 for d in dirs)
+        clients = [h.connect() for h in hubs]
+        servers = [h.accept(timeout=5.0) for h in hubs]
+        for i, client in enumerate(clients):
+            client.send(Register(f"n{i}"))
+        assert [s.recv(timeout=5.0) for s in servers] == [Register("n0"), Register("n1")]
+        for ep in clients + servers:
+            ep.close()
+    finally:
+        for h in hubs:
+            h.close()
+    assert not any(os.path.exists(d) for d in dirs)
 
 
 # -- scripted node behavior --------------------------------------------------
@@ -813,9 +911,13 @@ def test_node_raises_when_closed_before_final_model(hub):
     assert isinstance(box.get("error"), ProtocolError)
 
 
+def test_node_config_needs_a_window_cap_for_every_round():
+    with pytest.raises(ConfigError, match="window_schedule needs 3"):
+        _node_config(rounds=3, window_schedule=(4, 8))
+
+
 def test_node_window_schedule_limits_training_data(hub):
-    schedule = [4, 8, 12]
-    cfg = _node_config(rounds=3, window_schedule=lambda r: schedule[r])
+    cfg = _node_config(rounds=3, window_schedule=(4, 8, 12))
     server, t, box = _scripted_node(hub, cfg)
     server.recv(timeout=5.0)
     weights = global_init()

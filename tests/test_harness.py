@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -145,9 +146,8 @@ def test_failing_node_ends_the_federation_with_its_own_error(monkeypatch):
         run_federation(setups, cfg, window_schedules={"m1": lambda r: 0})
 
 
-def test_harness_nodes_outwait_the_aggregator(monkeypatch):
-    # a node that stops waiting first would end with a bare transport error
-    # instead of the aggregator's abort reason
+def _launched(monkeypatch):
+    """Make run_federation build its aggregator and nodes, and launch none."""
     launched = []
 
     def capture(agg, nodes, transport):
@@ -155,6 +155,13 @@ def test_harness_nodes_outwait_the_aggregator(monkeypatch):
         return [], {}
 
     monkeypatch.setattr("fedvib.harness.federation.run_nodes", capture)
+    return launched
+
+
+def test_harness_nodes_outwait_the_aggregator(monkeypatch):
+    # a node that stops waiting first would end with a bare transport error
+    # instead of the aggregator's abort reason
+    launched = _launched(monkeypatch)
     cfg = make_config(rounds=1)
     setups = [prepare_node(spec, ACFG.window_size) for spec in cfg.nodes]
     run_federation(setups, cfg)
@@ -165,6 +172,18 @@ def test_harness_nodes_outwait_the_aggregator(monkeypatch):
 
 
 # -- cold-start scenario ------------------------------------------------------
+
+def test_cold_start_nodes_survive_pickle(monkeypatch):
+    # a node's window schedule is data, so a node can be sent to a process
+    launched = _launched(monkeypatch)
+    run_cold_start(make_config(rounds=3))
+    [(_, nodes)] = launched
+    for node in nodes:
+        assert node.config.window_schedule == (64, 128, 192)
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy.config == node.config
+        assert np.array_equal(copy.train_windows, node.train_windows)
+
 
 def test_cold_start_windows_trained_follows_schedule():
     cfg = make_config(rounds=4)
