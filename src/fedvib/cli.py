@@ -149,9 +149,10 @@ def cmd_train(args):
         print(f"aborted: {e}", file=sys.stderr)
         return 1
     for s in result.round_stats:
+        phases = " ".join(f"{name}={sec:.3f}s" for name, sec in s.phases.items())
         print(f"round {s.round}: train_loss={s.train_loss:.6g} "
               f"val_loss={s.val_loss:.6g} threshold={s.threshold:.6g} "
-              f"windows={s.windows_trained} took={s.duration_s:.2f}s")
+              f"windows={s.windows_trained} took={s.duration_s:.2f}s {phases}")
     flagged = sum(1 for v in result.verdicts if v.verdict == "anomalous")
     print(f"threshold={result.final_threshold.threshold:.6g} "
           f"({result.final_threshold.mode}, delta={result.final_threshold.delta})")

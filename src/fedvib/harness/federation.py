@@ -1,19 +1,26 @@
-"""Hosting a whole federation in one process and merging its bookkeeping.
+"""Hosting a whole federation on one machine and merging its bookkeeping.
 
-Every participant runs in its own thread: the aggregation node in the calling
-thread, each training node in a worker.  Nodes connect either to the
-in-process hub, a Unix socket in a private temporary directory, or over
-localhost TCP; both listeners are socket servers whose endpoints count the
-same encoded frames, so byte accounting is transport-independent.
+The aggregation node runs in the calling thread and each training node in a
+process of its own, started by ``spawn``, as each would on its own device.
+A node's process receives the node and its listener's address, connects,
+trains, and sends back its result or its exception over a pipe.  Nodes
+connect either to the in-process hub, the launcher's private Unix socket in
+a temporary directory, or over localhost TCP; both listeners are socket
+servers whose endpoints count the same encoded frames, so byte accounting is
+transport-independent.  A ``spawn`` child imports the calling script again,
+so a script that runs a federation needs an ``if __name__ == "__main__":``
+guard.
 """
 
-import threading
-from dataclasses import dataclass, field
+import multiprocessing
+import time
+import traceback
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import chronological_split, windows_for_batches
-from ..errors import ConfigError, RoundAbortError
+from ..errors import ConfigError, FedvibError, RoundAbortError, TransportError
 from ..model import build_autoencoder
 from ..proto import (
     AggregationNode,
@@ -21,12 +28,14 @@ from ..proto import (
     ModelWeights,
     TrainingNode,
     TrainingNodeConfig,
+    connect_to,
     serve_sockets,
 )
 from ..proto.aggregator import ROUND_TIMEOUT_S
 from .config import TRANSPORTS, dataset_bytes, load_raw_dataset, preprocess_dataset
 
 REGISTRATION_TIMEOUT_S = 120.0
+EXIT_WAIT_S = 5.0    # how long a node process may take to exit once it is done
 
 
 @dataclass
@@ -108,43 +117,103 @@ def merge_round_reports(records, node_results):
     return reports
 
 
+class _RemoteTraceback(Exception):
+    """A node process's formatted traceback: the cause of the error it raised."""
+
+
+def _node_process(node, address, pipe):
+    """Body of a node's process: run ``node`` against the listener at
+    ``address`` and send its NodeResult, or its exception and traceback, up
+    ``pipe``.  An exception that does not pickle ends the process unsent."""
+    with pipe:
+        try:
+            result = node.run(connect_to(address))
+        except Exception as e:
+            pipe.send((e, traceback.format_exc()))
+        else:
+            pipe.send(result)
+
+
+def _reply(proc, pipe, client_id, deadline):
+    """What a node's process sent back: its NodeResult or its exception, with
+    the process's traceback as cause; a FedvibError if nothing readable came."""
+    try:
+        if not pipe.poll(max(0.0, deadline - time.monotonic())):
+            return FedvibError(f"node {client_id!r}: no result within {ROUND_TIMEOUT_S:g}s")
+        reply = pipe.recv()
+    except EOFError:  # killed, or its exception did not pickle
+        proc.join(EXIT_WAIT_S)
+        return FedvibError(f"node {client_id!r}: process ended with exit code "
+                           f"{proc.exitcode} before sending a result")
+    except Exception as e:  # sent, but does not unpickle here
+        return FedvibError(f"node {client_id!r}: unreadable result: {e!r}")
+    if isinstance(reply, tuple):
+        error, tb = reply
+        error.__cause__ = _RemoteTraceback(tb)
+        return error
+    return reply
+
+
+def _rank(error):
+    """Sort key of node failures: a node's own error first, then a transport
+    failure, then a round abort; these two mostly follow from another error."""
+    return isinstance(error, RoundAbortError), isinstance(error, TransportError)
+
+
 def run_nodes(agg, nodes, transport):
     """Serve ``agg`` in the calling thread and run each built
-    :class:`TrainingNode` in a worker thread, over ``transport`` (one of
-    ``TRANSPORTS``).
+    :class:`TrainingNode` in a ``spawn`` process of its own, over
+    ``transport`` (one of ``TRANSPORTS``).
 
     Returns ``(records, results)``: the aggregator's round records and the
-    node results by client id, in node order.  Every worker is joined before
-    this returns or raises.  A failure is re-raised unchanged: the first node
-    error that is not a round abort, else the aggregator's.
+    node results by client id, in node order.  Every node process has ended
+    before this returns or raises; one still alive :data:`EXIT_WAIT_S` after
+    the federation ends is killed.  A failure is re-raised with its type and
+    message, a node's with its process's traceback as ``__cause__``: the
+    first node error (in node order) that is neither a round abort nor a
+    transport failure, else the aggregator's, else the first node transport
+    failure, else the first round abort.  A node process that ends without a
+    result, killed say, raises a FedvibError naming it and its exit code.
     """
     if transport not in TRANSPORTS:
         raise ConfigError(f"transport must be one of {TRANSPORTS}, got {transport!r}")
     listener = InProcessHub() if transport == "in_process" else serve_sockets()
-    results, failures = [None] * len(nodes), []
-
-    def work(index, node):
-        try:
-            results[index] = node.run(listener.connect())
-        except Exception as e:  # re-raised after join
-            failures.append(e)
-
-    threads = [threading.Thread(target=work, args=(i, n), daemon=True)
-               for i, n in enumerate(nodes)]
-    for t in threads:
-        t.start()
+    spawn = multiprocessing.get_context("spawn")
+    procs, pipes = [], []
     try:
-        records = agg.run(listener)
+        for node in nodes:
+            reader, writer = spawn.Pipe(duplex=False)
+            pipes.append(reader)
+            with writer:  # the child's copy must be the only one, for EOF
+                proc = spawn.Process(target=_node_process, daemon=True,
+                                     args=(node, listener.address, writer))
+                proc.start()
+            procs.append(proc)
+        try:
+            records, agg_error = agg.run(listener), None
+        except Exception as e:  # ranked with the nodes' failures below
+            records, agg_error = None, e
+        deadline = time.monotonic() + ROUND_TIMEOUT_S
+        replies = [_reply(proc, pipe, node.config.client_id, deadline)
+                   for proc, pipe, node in zip(procs, pipes, nodes)]
     finally:
-        for t in threads:
-            t.join(timeout=ROUND_TIMEOUT_S)
-        # a node's own failure outranks the round aborts that follow from it
-        causes = [e for e in failures if not isinstance(e, RoundAbortError)]
-        if causes:
-            raise causes[0]
+        listener.close()
+        for pipe in pipes:
+            pipe.close()
+        for proc in procs:
+            proc.join(EXIT_WAIT_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+            proc.close()
+    failures = sorted((r for r in replies if isinstance(r, Exception)), key=_rank)
+    if failures and _rank(failures[0]) == (False, False):
+        raise failures[0]
+    if agg_error is not None:
+        raise agg_error
     if failures:
         raise failures[0]
-    return records, {res.client_id: res for res in results}
+    return records, {res.client_id: res for res in replies}
 
 
 def run_federation(setups, config, window_schedules=None):

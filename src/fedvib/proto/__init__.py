@@ -6,6 +6,7 @@ from .transport import (
     InProcessHub,
     SocketServer,
     connect_socket,
+    connect_to,
     serve_sockets,
 )
 from .weights import ModelWeights, WeightDelta, apply_delta, fedavg
@@ -33,6 +34,7 @@ __all__ = [
     "InProcessHub",
     "SocketServer",
     "connect_socket",
+    "connect_to",
     "serve_sockets",
     "ModelWeights",
     "WeightDelta",

@@ -8,9 +8,15 @@ windows once (their mean is the round's validation loss, their spread
 calibrates the local anomaly threshold), and waits for the next global
 model.  A global model whose round number reaches the configured
 round count is final: the node scores its test batches with it and stops.
+
+Each round's stats carry the seconds spent per phase (see :func:`timed`):
+``wait`` for the round's global model to arrive, ``train``, ``send`` (take
+the delta and send it), ``score`` the validation windows, and ``calibrate``
+the threshold on their scores.  All but ``wait`` fall within ``duration_s``.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +82,16 @@ class TrainingNodeConfig:
                               f"got {len(self.window_schedule)}")
 
 
+@contextmanager
+def timed(seconds, phase):
+    """Add the wall seconds spent inside the block to ``seconds[phase]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - start
+
+
 @dataclass
 class NodeRoundStats:
     round: int
@@ -84,6 +100,7 @@ class NodeRoundStats:
     threshold: float
     windows_trained: int
     duration_s: float
+    phases: dict = field(default_factory=dict)  # phase -> seconds
 
 
 @dataclass
@@ -130,7 +147,9 @@ class TrainingNode:
         adam_state = None
         trained_any = False
         while True:
-            msg = endpoint.recv(timeout=cfg.recv_timeout_s)
+            phases = {}
+            with timed(phases, "wait"):
+                msg = endpoint.recv(timeout=cfg.recv_timeout_s)
             if msg is None:
                 raise ProtocolError(f"{cfg.client_id}: connection closed "
                                     "before the final global model arrived")
@@ -153,31 +172,36 @@ class TrainingNode:
             windows = self.train_windows
             if cfg.window_schedule is not None:
                 windows = windows[:cfg.window_schedule[r]]
-            result = train_epochs(
-                model, windows, cfg.train, cfg.epochs_per_round, seed=cfg.seed,
-                epoch_offset=r * cfg.epochs_per_round,
-                adam_state=adam_state if cfg.persist_optimizer else None)
+            with timed(phases, "train"):
+                result = train_epochs(
+                    model, windows, cfg.train, cfg.epochs_per_round, seed=cfg.seed,
+                    epoch_offset=r * cfg.epochs_per_round,
+                    adam_state=adam_state if cfg.persist_optimizer else None)
             if cfg.persist_optimizer:
                 adam_state = result.adam_state
             trained_any = True
 
-            # the delta is taken against the global model this round started from
-            delta_tensors = weight_delta(model.param_refs(), msg.weights.tensors)
-            model.set_weights_dict(apply_weight_delta(msg.weights.tensors, delta_tensors))
-            endpoint.send(DeltaSubmission(
-                client_id=cfg.client_id, round=r,
-                delta=WeightDelta(delta_tensors, base_round=r),
-                windows_trained=len(windows)))
+            with timed(phases, "send"):
+                # the delta is taken against the global model this round started from
+                delta_tensors = weight_delta(model.param_refs(), msg.weights.tensors)
+                model.set_weights_dict(apply_weight_delta(msg.weights.tensors, delta_tensors))
+                endpoint.send(DeltaSubmission(
+                    client_id=cfg.client_id, round=r,
+                    delta=WeightDelta(delta_tensors, base_round=r),
+                    windows_trained=len(windows)))
 
-            scores = window_scores(model, self.val_windows)
-            threshold = self._calibrate(scores)
+            with timed(phases, "score"):
+                scores = window_scores(model, self.val_windows)
+            with timed(phases, "calibrate"):
+                threshold = self._calibrate(scores)
             stats.append(NodeRoundStats(
                 round=r,
                 train_loss=result.train_losses[-1],
                 val_loss=float(scores.mean()),
                 threshold=threshold.threshold,
                 windows_trained=len(windows),
-                duration_s=time.perf_counter() - t0))
+                duration_s=time.perf_counter() - t0,
+                phases=phases))
 
         final_threshold = self._calibrate(window_scores(model, self.val_windows))
         verdicts = score_batches(model, self.test_batches, self.test_offset,

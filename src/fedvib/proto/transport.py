@@ -19,11 +19,12 @@ Every endpoint is a :class:`SocketEndpoint`:
 
 Every listener is a :class:`SocketServer`: ``accept`` yields endpoints,
 ``connect`` opens the client side of one, and ``fileno()`` is readable while
-a connection waits.  Only the address family differs: :class:`InProcessHub`
-listens on a Unix socket in a private temporary directory, ``serve_sockets``
-on TCP.  So both transports share the frame bound, the failure handling and
-the byte counters, and traffic accounting is the same whether a federation
-runs in one process or across machines.
+a connection waits.  Its ``address`` is plain data, so another process can
+reach it with ``connect_to(address)``.  Only the address family differs:
+:class:`InProcessHub` listens on a Unix socket in a private temporary
+directory, ``serve_sockets`` on TCP.  So both transports share the frame
+bound, the failure handling and the byte counters, and traffic accounting is
+the same whether a federation runs on one machine or across machines.
 """
 
 import os
@@ -118,6 +119,7 @@ class SocketServer:
     def __init__(self, host, port, backlog=16):
         self._sock = socket.create_server((host, port), backlog=backlog)
         self.host, self.port = self._sock.getsockname()[:2]
+        self.address = (self.host, self.port)
 
     def fileno(self):
         return self._sock.fileno()
@@ -136,7 +138,7 @@ class SocketServer:
         return SocketEndpoint(conn)
 
     def connect(self):
-        return connect_socket(self.host, self.port)
+        return connect_to(self.address)
 
     def close(self):
         """Close the listener; connections not yet accepted are reset."""
@@ -145,26 +147,17 @@ class SocketServer:
 
 class InProcessHub(SocketServer):
     """A SocketServer on a Unix socket in a private temporary directory (mode
-    0700), so only this user can reach it.  ``path`` is its address; ``close``
-    removes the directory, after which ``connect`` fails."""
+    0700), so only this user can reach it.  ``address`` is the socket's path;
+    ``close`` removes the directory, after which ``connect`` fails."""
 
     def __init__(self):
         self._dir = tempfile.mkdtemp(prefix="fedvib-hub-")
-        self.path = os.path.join(self._dir, "hub")
+        self.address = os.path.join(self._dir, "hub")
         try:
-            self._sock = socket.create_server(self.path, family=socket.AF_UNIX)
+            self._sock = socket.create_server(self.address, family=socket.AF_UNIX)
         except OSError:
             shutil.rmtree(self._dir, ignore_errors=True)
             raise
-
-    def connect(self):
-        sock = socket.socket(socket.AF_UNIX)
-        try:
-            sock.connect(self.path)
-        except OSError as e:  # no retry: a closed hub's path does not come back
-            sock.close()
-            raise TransportError(f"hub is closed or unreachable: {e}") from None
-        return SocketEndpoint(sock)
 
     def close(self):
         super().close()
@@ -174,6 +167,20 @@ class InProcessHub(SocketServer):
 def serve_sockets(host="127.0.0.1", port=0):
     """Open a listening server; port 0 picks a free ephemeral port."""
     return SocketServer(host, port)
+
+
+def connect_to(address):
+    """Connect to a listener's ``address``: an :class:`InProcessHub`'s socket
+    path, or a TCP ``(host, port)``."""
+    if isinstance(address, tuple):
+        return connect_socket(*address)
+    sock = socket.socket(socket.AF_UNIX)
+    try:
+        sock.connect(address)
+    except OSError as e:  # no retry: a closed hub's path does not come back
+        sock.close()
+        raise TransportError(f"hub is closed or unreachable: {e}") from None
+    return SocketEndpoint(sock)
 
 
 def connect_socket(host, port, retries=5, backoff_s=0.2):
@@ -196,4 +203,4 @@ def connect_socket(host, port, retries=5, backoff_s=0.2):
 
 
 __all__ = ["InProcessHub", "QueueEndpoint", "SocketEndpoint", "SocketServer",
-           "connect_socket", "serve_sockets", "HEADER_SIZE"]
+           "connect_socket", "connect_to", "serve_sockets", "HEADER_SIZE"]

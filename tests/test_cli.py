@@ -3,6 +3,7 @@ and the offline portions of fetch-ims."""
 
 import dataclasses
 import json
+import re
 import socket
 import threading
 import zipfile
@@ -130,6 +131,10 @@ def test_aggregate_and_train_commands_over_sockets(tmp_path, capsys):
 
     captured = capsys.readouterr().out
     assert "round 0: clients=['node-a', 'node-b']" in captured
+    # each trainer's round line ends with its phase timers
+    phased = re.findall(r"^round [01]: train_loss=.* took=\S+ wait=\S+s train=\S+s "
+                        r"send=\S+s score=\S+s calibrate=\S+s$", captured, re.MULTILINE)
+    assert len(phased) == 4
     assert "scored 5 test batches" in captured
 
     round_index, weights = load_model_checkpoint(checkpoint)

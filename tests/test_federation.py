@@ -2,7 +2,10 @@
 edge cases driven through scripted endpoints."""
 
 import glob
+import multiprocessing
+import multiprocessing.resource_tracker
 import os
+import signal
 import stat
 import struct
 import tempfile
@@ -20,6 +23,7 @@ from fedvib.data import (
 )
 from fedvib.errors import (
     ConfigError,
+    FedvibError,
     ProtocolError,
     RoundAbortError,
     ShapeError,
@@ -52,6 +56,7 @@ from fedvib.proto import (
     connect_socket,
     serve_sockets,
 )
+from fedvib.proto.node import timed
 from fedvib.proto.wire import (
     ERR_DUPLICATE_ID,
     ERR_PROTOCOL,
@@ -177,6 +182,32 @@ def test_socket_federation_matches_in_process():
     assert down == sum(res.bytes_received for res in sock_results.values())
 
 
+def test_node_rounds_carry_their_phase_timers():
+    _, _, results = run_federation({"n1": 1, "n2": 2}, rounds=2)
+    for res in results.values():
+        assert [s.round for s in res.round_stats] == [0, 1]
+        for s in res.round_stats:
+            assert list(s.phases) == ["wait", "train", "send", "score", "calibrate"]
+            assert all(sec >= 0.0 for sec in s.phases.values())
+            # everything but the wait for the model falls within the round
+            assert s.phases["train"] + s.phases["send"] + s.phases["score"] \
+                + s.phases["calibrate"] <= s.duration_s
+
+
+def test_timed_adds_up_each_phase_also_when_the_block_raises():
+    seconds = {}
+    with timed(seconds, "a"):
+        time.sleep(0.01)
+    with pytest.raises(ValueError):
+        with timed(seconds, "a"):
+            time.sleep(0.01)
+            raise ValueError
+    with timed(seconds, "b"):
+        pass
+    assert list(seconds) == ["a", "b"]
+    assert 0.02 <= seconds["a"] < 1.0 and 0.0 <= seconds["b"] < seconds["a"]
+
+
 def test_zero_round_federation_flags_untrained():
     agg, records, results = run_federation({"solo": 3}, rounds=0)
     assert records == []
@@ -197,32 +228,121 @@ class _LingeringNode(TrainingNode):
             time.sleep(0.2)
 
 
+class _SelfKillingNode(TrainingNode):
+    """SIGKILLs its own process once round 1's global model arrives."""
+
+    fail_round = 1
+
+    def fail(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def run(self, endpoint):
+        recv = endpoint.recv
+
+        def recv_then_fail(timeout=None):
+            msg = recv(timeout)
+            if isinstance(msg, GlobalModel) and msg.round == self.fail_round:
+                self.fail()
+            return msg
+
+        endpoint.recv = recv_then_fail
+        return super().run(endpoint)
+
+
+class _LockError(Exception):
+    """An exception that does not pickle: it holds a lock."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+class _UnpicklableFailureNode(_SelfKillingNode):
+    """Raises an exception that cannot be sent back, in round 0."""
+
+    fail_round = 0
+
+    def fail(self):
+        raise _LockError()
+
+
 def _hub_dirs():
     return set(glob.glob(os.path.join(tempfile.gettempdir(), "fedvib-hub-*")))
+
+
+class _Leftovers:
+    """Threads, fds, node processes and hub directories a launch leaves.  The
+    fd baseline is taken with multiprocessing's resource tracker, one helper
+    per parent process that holds one fd, already running."""
+
+    def __init__(self):
+        multiprocessing.resource_tracker.ensure_running()
+        self.threads = set(threading.enumerate())
+        self.fds = len(os.listdir("/proc/self/fd"))
+        self.dirs = _hub_dirs()
+
+    def assert_none(self):
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) - self.threads == set()
+        assert len(os.listdir("/proc/self/fd")) == self.fds  # no endpoint or pipe left open
+        assert _hub_dirs() == self.dirs  # the hub removed its directory
+
+
+def _launch_aggregator(rounds=2, clients=2):
+    return AggregationNode(global_init(), expected_clients=clients, rounds=rounds,
+                           registration_timeout_s=20.0, round_timeout_s=60.0)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 @pytest.mark.parametrize("failing", [False, True], ids=["clean", "failing"])
 def test_no_thread_outlives_the_launcher(transport, failing):
-    before = set(threading.enumerate())
-    fds_before = len(os.listdir("/proc/self/fd"))
-    dirs_before = _hub_dirs()
-    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
-                          registration_timeout_s=20.0, round_timeout_s=60.0)
+    leftovers = _Leftovers()
+    agg = _launch_aggregator()
     # a window schedule of 0 makes n2's training raise in round 0
     schedule = (0, 0) if failing else None
     nodes = [make_node("n1", 1, rounds=2, node_cls=_LingeringNode),
              make_node("n2", 2, rounds=2, node_cls=_LingeringNode,
                        window_schedule=schedule)]
     if failing:
-        with pytest.raises(ShapeError, match="zero windows"):
+        # n1's send may fail after the abort; n2's own error still wins
+        with pytest.raises(ShapeError, match="zero windows") as info:
             run_nodes(agg, nodes, transport)
+        assert "train_epochs" in str(info.value.__cause__)  # the child's traceback
     else:
         _, results = run_nodes(agg, nodes, transport)
         assert list(results) == ["n1", "n2"]
-    assert set(threading.enumerate()) - before == set()
-    assert len(os.listdir("/proc/self/fd")) == fds_before  # no endpoint left open
-    assert _hub_dirs() == dirs_before  # the hub removed its directory
+    leftovers.assert_none()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_killed_node_process_fails_the_launch_within_seconds(transport):
+    leftovers = _Leftovers()
+    nodes = [make_node("n1", 1, rounds=3),
+             make_node("n2", 2, rounds=3, node_cls=_SelfKillingNode)]
+    started = time.monotonic()
+    with pytest.raises(FedvibError, match=r"node 'n2'.*exit code -9"):
+        run_nodes(_launch_aggregator(rounds=3), nodes, transport)
+    assert time.monotonic() - started < 10.0  # not the 60 s round timeout
+    leftovers.assert_none()
+
+
+def test_an_exception_that_does_not_pickle_names_its_node():
+    leftovers = _Leftovers()
+    nodes = [make_node("n1", 1, rounds=2),
+             make_node("n2", 2, rounds=2, node_cls=_UnpicklableFailureNode)]
+    with pytest.raises(FedvibError, match=r"node 'n2'.*exit code 1"):
+        run_nodes(_launch_aggregator(), nodes, "in_process")
+    leftovers.assert_none()
+
+
+def test_a_node_that_does_not_pickle_leaves_nothing_running():
+    leftovers = _Leftovers()
+    bad = make_node("n2", 2, rounds=2)
+    bad.test_batches = (b for b in bad.test_batches)
+    # n1's process starts before n2 fails to pickle
+    with pytest.raises(TypeError, match="pickle"):
+        run_nodes(_launch_aggregator(), [make_node("n1", 1, rounds=2), bad], "in_process")
+    leftovers.assert_none()
 
 
 # -- scripted edge cases -----------------------------------------------------
@@ -828,7 +948,7 @@ def test_closing_the_hub_closes_unaccepted_connections(hub):
 
 def test_two_hubs_can_be_open_at_once():
     hubs = [InProcessHub(), InProcessHub()]
-    dirs = [os.path.dirname(h.path) for h in hubs]
+    dirs = [os.path.dirname(h.address) for h in hubs]
     try:
         assert dirs[0] != dirs[1]
         assert all(stat.S_IMODE(os.stat(d).st_mode) == 0o700 for d in dirs)
