@@ -2,11 +2,13 @@
 
 The aggregation node runs in the calling thread and each training node in a
 process of its own, started by ``spawn``, as each would on its own device.
-A node's process receives the node and its listener's address, connects,
-trains, and sends back its result or its exception over a pipe.  Nodes
-connect either to the in-process hub, the launcher's private Unix socket in
-a temporary directory, or over localhost TCP; both listeners are socket
-servers whose endpoints count the same encoded frames, so byte accounting is
+Every node's process is started first, with only its listener's address and
+its end of a pipe, so the processes boot side by side; then each node is
+sent over its pipe.  The process connects, trains, and sends back its
+result or its exception over the same pipe.  Nodes connect either to the
+in-process hub, the launcher's private Unix socket in a temporary
+directory, or over localhost TCP; both listeners are socket servers whose
+endpoints count the same encoded frames, so byte accounting is
 transport-independent.  A ``spawn`` child imports the calling script again,
 so a script that runs a federation needs an ``if __name__ == "__main__":``
 guard.
@@ -121,11 +123,17 @@ class _RemoteTraceback(Exception):
     """A node process's formatted traceback: the cause of the error it raised."""
 
 
-def _node_process(node, address, pipe):
-    """Body of a node's process: run ``node`` against the listener at
-    ``address`` and send its NodeResult, or its exception and traceback, up
-    ``pipe``.  An exception that does not pickle ends the process unsent."""
+def _node_process(address, pipe):
+    """Body of a node's process: receive its node over ``pipe``, run it
+    against the listener at ``address`` and send its NodeResult, or its
+    exception and traceback, back on ``pipe``.  A pipe that closes before a
+    node arrives, after a failed launch, ends the process quietly; an
+    exception that does not pickle ends it unsent."""
     with pipe:
+        try:
+            node = pipe.recv()
+        except EOFError:
+            return
         try:
             result = node.run(connect_to(address))
         except Exception as e:
@@ -154,6 +162,17 @@ def _reply(proc, pipe, client_id, deadline):
     return reply
 
 
+def _hand_over(proc, pipe, node):
+    """Send ``node`` to its started process; a FedvibError naming the node and
+    its exit code if the process ended before taking it."""
+    try:
+        pipe.send(node)
+    except (BrokenPipeError, ConnectionResetError):
+        proc.join(EXIT_WAIT_S)
+        raise FedvibError(f"node {node.config.client_id!r}: process ended with exit "
+                          f"code {proc.exitcode} before receiving its node") from None
+
+
 def _rank(error):
     """Sort key of node failures: a node's own error first, then a transport
     failure, then a round abort; these two mostly follow from another error."""
@@ -164,6 +183,14 @@ def run_nodes(agg, nodes, transport):
     """Serve ``agg`` in the calling thread and run each built
     :class:`TrainingNode` in a ``spawn`` process of its own, over
     ``transport`` (one of ``TRANSPORTS``).
+
+    Every process is started before any node is sent to it, so a launch
+    waits for the slowest process to boot, not for all of them in turn.  A
+    node that does not pickle fails its send, once every process has
+    started; the processes still waiting for a node then end.  The
+    aggregator watches every process's sentinel, so a node process that
+    ends before its client registers fails the launch at once rather than
+    at the registration timeout.
 
     Returns ``(records, results)``: the aggregator's round records and the
     node results by client id, in node order.  Every node process has ended
@@ -181,16 +208,18 @@ def run_nodes(agg, nodes, transport):
     spawn = multiprocessing.get_context("spawn")
     procs, pipes = [], []
     try:
-        for node in nodes:
-            reader, writer = spawn.Pipe(duplex=False)
-            pipes.append(reader)
-            with writer:  # the child's copy must be the only one, for EOF
+        for _ in nodes:
+            ours, theirs = spawn.Pipe()
+            pipes.append(ours)
+            with theirs:  # the child's copy must be the only one, for EOF
                 proc = spawn.Process(target=_node_process, daemon=True,
-                                     args=(node, listener.address, writer))
+                                     args=(listener.address, theirs))
                 proc.start()
             procs.append(proc)
+        for proc, pipe, node in zip(procs, pipes, nodes):
+            _hand_over(proc, pipe, node)
         try:
-            records, agg_error = agg.run(listener), None
+            records, agg_error = agg.run(listener, [p.sentinel for p in procs]), None
         except Exception as e:  # ranked with the nodes' failures below
             records, agg_error = None, e
         deadline = time.monotonic() + ROUND_TIMEOUT_S

@@ -29,9 +29,10 @@ registry; one that does not read cannot read an Error either, so it only
 gets the close.  The round aborts, with no partial aggregation, if a
 participant leaves before submitting, a delta is missing at the timeout, a
 delta's tensor names or shapes differ from the global model's or it holds a
-non-finite value, or the new global model would hold one.  Every
-FedvibError leaving ``run`` first reaches each registered client as an
-ERR_ROUND_ABORT Error frame.
+non-finite value, or the new global model would hold one.  A run that
+watches its clients' processes (``run``'s ``sentinels``) aborts as soon as
+one of them ends, registered or not.  Every FedvibError leaving ``run``
+first reaches each registered client as an ERR_ROUND_ABORT Error frame.
 """
 
 import selectors
@@ -186,6 +187,10 @@ class AggregationNode:
         except TransportError as e:
             self._drop(conn, state, e)
 
+    def _ended(self, sentinel, state):
+        raise FedvibError(f"a client process ended while {len(self._clients)} of "
+                          f"{self.expected_clients} clients were registered")
+
     def _send(self, conn, msg, state, timeout_s=0.0):
         try:
             conn.send(msg, timeout=timeout_s)
@@ -270,10 +275,18 @@ class AggregationNode:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def run(self, listener):
-        """Serve one full federation; returns the per-round records."""
+    def run(self, listener, sentinels=()):
+        """Serve one full federation; returns the per-round records.
+
+        ``sentinels`` are file descriptors that become readable when a
+        client's process ends, such as ``Process.sentinel``; the federation
+        aborts as soon as one does.  This catches a client that dies before
+        it registers, which no connection of its own would show.
+        """
         self._sel = selectors.DefaultSelector()
         self._sel.register(listener, selectors.EVENT_READ, self._accept)
+        for sentinel in sentinels:
+            self._sel.register(sentinel, selectors.EVENT_READ, self._ended)
         try:
             self._serve(None, lambda: len(self._clients) >= self.expected_clients,
                         self.registration_timeout_s,

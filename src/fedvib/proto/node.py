@@ -15,6 +15,7 @@ the delta and send it), ``score`` the validation windows, and ``calibrate``
 the threshold on their scores.  All but ``wait`` fall within ``duration_s``.
 """
 
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -113,6 +114,10 @@ class NodeResult:
     untrained: bool = False
     bytes_sent: int = 0          # frame bytes on the node's endpoint
     bytes_received: int = 0
+    # of the process the node ran in, read as the node finishes: its peak
+    # resident set and the user plus system CPU seconds of all its threads
+    peak_rss_bytes: int = 0
+    cpu_s: float = 0.0
 
 
 @dataclass
@@ -207,13 +212,16 @@ class TrainingNode:
         verdicts = score_batches(model, self.test_batches, self.test_offset,
                                  final_threshold, cfg.autoencoder.window_size,
                                  cfg.score_mode)
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         return NodeResult(client_id=cfg.client_id, round_stats=stats,
                           verdicts=verdicts,
                           final_weights=ModelWeights(model.weights_dict()),
                           final_threshold=final_threshold,
                           untrained=not trained_any,
                           bytes_sent=endpoint.bytes_sent,
-                          bytes_received=endpoint.bytes_received)
+                          bytes_received=endpoint.bytes_received,
+                          peak_rss_bytes=usage.ru_maxrss * 1024,  # Linux counts KiB
+                          cpu_s=usage.ru_utime + usage.ru_stime)
 
     def _calibrate(self, scores):
         return ThresholdModel.calibrate(scores, delta=self.config.threshold_delta,

@@ -194,6 +194,13 @@ def test_node_rounds_carry_their_phase_timers():
                 + s.phases["calibrate"] <= s.duration_s
 
 
+def test_node_results_carry_their_process_resources():
+    _, _, results = run_federation({"n1": 1, "n2": 2}, rounds=1)
+    for res in results.values():
+        assert res.peak_rss_bytes > 0
+        assert res.cpu_s > 0.0
+
+
 def test_timed_adds_up_each_phase_also_when_the_block_raises():
     seconds = {}
     with timed(seconds, "a"):
@@ -264,6 +271,43 @@ class _UnpicklableFailureNode(_SelfKillingNode):
 
     def fail(self):
         raise _LockError()
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _DiesWhenUnpickled(TrainingNode):
+    """Kills the process that unpickles it, before that process connects."""
+
+    def __reduce__(self):
+        return _die, ()
+
+
+def _stamp(path):
+    with open(path, "a") as f:
+        f.write(f"{time.monotonic()}\n")
+
+
+class _Stamp:
+    """Appends the time at which it is unpickled to the file ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return _stamp, (self.path,)
+
+
+class _StampedNode(TrainingNode):
+    """Pickles a _Stamp of its ``stamps`` file ahead of its fields and 1 MiB
+    of ballast: a process stamps the time it begins to unpickle the node, and
+    the pickle outgrows a pipe's buffer, so its writer waits for the reader."""
+
+    stamps = None
+
+    def __getstate__(self):
+        return {"stamp": _Stamp(self.stamps), **self.__dict__, "ballast": bytes(2**20)}
 
 
 def _hub_dirs():
@@ -339,10 +383,65 @@ def test_a_node_that_does_not_pickle_leaves_nothing_running():
     leftovers = _Leftovers()
     bad = make_node("n2", 2, rounds=2)
     bad.test_batches = (b for b in bad.test_batches)
-    # n1's process starts before n2 fails to pickle
+    # both processes start, and n1's receives its node, before n2 fails to pickle
     with pytest.raises(TypeError, match="pickle"):
         run_nodes(_launch_aggregator(), [make_node("n1", 1, rounds=2), bad], "in_process")
     leftovers.assert_none()
+
+
+def test_a_node_process_that_dies_before_registering_fails_the_launch_at_once():
+    leftovers = _Leftovers()
+    agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
+                          registration_timeout_s=60.0, round_timeout_s=60.0)
+    nodes = [make_node("n1", 1, rounds=2),
+             make_node("n2", 2, rounds=2, node_cls=_DiesWhenUnpickled)]
+    started = time.monotonic()
+    with pytest.raises(FedvibError, match=r"node 'n2'.*exit code -9"):
+        run_nodes(agg, nodes, "in_process")
+    assert time.monotonic() - started < 10.0  # not the 60 s registration timeout
+    leftovers.assert_none()
+
+
+def test_a_node_process_that_dies_before_receiving_its_node_is_named(monkeypatch):
+    leftovers = _Leftovers()
+    start = multiprocessing.context.SpawnProcess.start
+    started = []
+
+    def start_and_kill_the_second(proc):
+        start(proc)
+        started.append(proc)
+        if len(started) == 2:
+            proc.kill()
+            proc.join(5.0)
+
+    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start",
+                        start_and_kill_the_second)
+    nodes = [make_node("n1", 1, rounds=2), make_node("n2", 2, rounds=2)]
+    with pytest.raises(FedvibError, match=r"node 'n2'.*exit code -9 before receiving"):
+        run_nodes(_launch_aggregator(), nodes, "in_process")
+    leftovers.assert_none()
+
+
+def test_every_node_process_starts_before_any_unpickles_its_node(monkeypatch, tmp_path):
+    start = multiprocessing.context.SpawnProcess.start
+    started = []
+
+    def timed_start(proc):
+        start(proc)
+        started.append(time.monotonic())
+
+    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", timed_start)
+    nodes = [make_node(cid, seed, rounds=1, node_cls=_StampedNode)
+             for cid, seed in (("n1", 1), ("n2", 2))]
+    for node in nodes:
+        node.stamps = str(tmp_path / "stamps")
+    _, results = run_nodes(_launch_aggregator(rounds=1), nodes, "in_process")
+    assert list(results) == ["n1", "n2"]
+    unpickled = [float(t) for t in (tmp_path / "stamps").read_text().split()]
+    assert len(started) == len(unpickled) == len(nodes)
+    # a launcher that sends each node with its process's start would wait in
+    # the first start() until that process had booted and read its node
+    assert max(started) < min(unpickled)
 
 
 # -- scripted edge cases -----------------------------------------------------
