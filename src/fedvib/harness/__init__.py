@@ -12,7 +12,6 @@ from .config import (
 from .federation import (
     FederationResult,
     NodeSetup,
-    RoundReport,
     prepare_node,
     run_federation,
     run_nodes,
@@ -43,7 +42,6 @@ __all__ = [
     "FederationResult",
     "NetworkReport",
     "NodeSetup",
-    "RoundReport",
     "SweepPoint",
     "SweepResult",
     "cold_start_windows",

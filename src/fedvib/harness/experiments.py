@@ -57,7 +57,6 @@ class NetworkReport:
 class ExperimentResult:
     scenario: str
     detection: DetectionReport
-    round_reports: list
     network: NetworkReport
     federation: object = None        # FederationResult for federated scenarios
     training_log: dict = None        # centralized per-epoch losses
@@ -153,7 +152,6 @@ def _run_federated_scenario(config, scenario, window_schedules=None):
     return ExperimentResult(
         scenario=scenario,
         detection=_detection_from_results(fed.node_results),
-        round_reports=fed.round_reports,
         network=_network_from_federation(setups, fed),
         federation=fed)
 
@@ -208,7 +206,6 @@ def run_knowledge_transfer(config):
     return ExperimentResult(
         scenario="knowledge_transfer",
         detection=detection,
-        round_reports=source.round_reports,
         network=source.network,
         federation=source.federation,
         source_detection=source.detection)
@@ -235,7 +232,6 @@ def run_centralized(config):
     return ExperimentResult(
         scenario="centralized",
         detection=detection,
-        round_reports=[],
         network=NetworkReport(federated_bytes=0, federated_bytes_by_node={},
                               raw_bytes=raw, raw_bytes_original=raw_original,
                               reduction_percent=None),

@@ -1,4 +1,4 @@
-"""Hosting a whole federation on one machine and merging its bookkeeping.
+"""Hosting a whole federation on one machine.
 
 The aggregation node runs in the calling thread and each training node in a
 process of its own, started by ``spawn``, as each would on its own device.
@@ -75,48 +75,11 @@ def prepare_node(spec, window_size):
 
 
 @dataclass
-class RoundReport:
-    """One federation round as reported to CSV: aggregator-side traffic plus
-    the per-node losses collected from the training nodes."""
-
-    round: int
-    train_loss: dict                 # node id -> float
-    val_loss: dict
-    bytes_sent: int
-    bytes_received: int
-    windows_trained: int
-    duration_s: float
-
-
-@dataclass
 class FederationResult:
     records: list                    # aggregator RoundRecords
-    round_reports: list              # merged RoundReports
     node_results: dict               # node id -> NodeResult
     global_weights: ModelWeights
     bytes_by_node: dict              # node id -> (sent, received) at the node
-
-
-def merge_round_reports(records, node_results):
-    """Zip aggregator round records with each node's per-round stats."""
-    stats_by_node = {
-        cid: {s.round: s for s in res.round_stats}
-        for cid, res in node_results.items()
-    }
-    reports = []
-    for rec in records:
-        train_loss, val_loss = {}, {}
-        for cid in rec.client_ids:
-            s = stats_by_node.get(cid, {}).get(rec.round)
-            if s is not None:
-                train_loss[cid] = s.train_loss
-                val_loss[cid] = s.val_loss
-        reports.append(RoundReport(
-            round=rec.round, train_loss=train_loss, val_loss=val_loss,
-            bytes_sent=rec.bytes_sent, bytes_received=rec.bytes_received,
-            windows_trained=sum(rec.windows_trained.values()),
-            duration_s=rec.duration_s))
-    return reports
 
 
 class _RemoteTraceback(Exception):
@@ -126,20 +89,24 @@ class _RemoteTraceback(Exception):
 def _node_process(address, pipe):
     """Body of a node's process: receive its node over ``pipe``, run it
     against the listener at ``address`` and send its NodeResult, or its
-    exception and traceback, back on ``pipe``.  A pipe that closes before a
-    node arrives, after a failed launch, ends the process quietly; an
-    exception that does not pickle ends it unsent."""
+    exception and traceback, back on ``pipe``.  A pipe that closes, after a
+    failed launch, ends the process quietly, before its node arrives or
+    before its reply goes; an exception that does not pickle ends it
+    unsent."""
     with pipe:
         try:
             node = pipe.recv()
         except EOFError:
             return
         try:
-            result = node.run(connect_to(address))
-        except Exception as e:
-            pipe.send((e, traceback.format_exc()))
-        else:
-            pipe.send(result)
+            try:
+                result = node.run(connect_to(address))
+            except Exception as e:
+                pipe.send((e, traceback.format_exc()))
+            else:
+                pipe.send(result)
+        except (BrokenPipeError, ConnectionResetError):  # the launcher has gone
+            return
 
 
 def _reply(proc, pipe, client_id, deadline):
@@ -281,7 +248,6 @@ def run_federation(setups, config, window_schedules=None):
     records, results = run_nodes(agg, nodes, config.transport)
     return FederationResult(
         records=records,
-        round_reports=merge_round_reports(records, results),
         node_results=results,
         global_weights=agg.global_weights,
         bytes_by_node={cid: (res.bytes_sent, res.bytes_received)

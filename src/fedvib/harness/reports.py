@@ -38,18 +38,25 @@ def write_scores_csv(path, detection):
                       "threshold", "label", "verdict"], rows)
 
 
-def write_rounds_csv(path, round_reports):
-    nodes = sorted({cid for rep in round_reports for cid in rep.train_loss})
+def write_rounds_csv(path, federation):
+    """One row per aggregator round record, with each node's losses from its
+    own round stats; only the header when ``federation`` is None
+    (centralized)."""
+    records = [] if federation is None else federation.records
+    stats = {} if federation is None else {
+        (cid, s.round): s
+        for cid, res in federation.node_results.items() for s in res.round_stats}
+    nodes = sorted({cid for cid, _ in stats})
     header = (["round", "bytes_sent", "bytes_received", "windows_trained",
                "duration_s"]
               + [f"train_loss_{cid}" for cid in nodes]
               + [f"val_loss_{cid}" for cid in nodes])
     rows = [
-        ([rep.round, rep.bytes_sent, rep.bytes_received, rep.windows_trained,
-          rep.duration_s]
-         + [rep.train_loss.get(cid) for cid in nodes]
-         + [rep.val_loss.get(cid) for cid in nodes])
-        for rep in round_reports
+        ([rec.round, rec.bytes_sent, rec.bytes_received,
+          sum(rec.windows_trained.values()), rec.duration_s]
+         + [getattr(stats.get((cid, rec.round)), "train_loss", None) for cid in nodes]
+         + [getattr(stats.get((cid, rec.round)), "val_loss", None) for cid in nodes])
+        for rec in records
     ]
     _write_csv(path, header, rows)
 
@@ -85,7 +92,7 @@ def export_results(result, out_dir):
         "network": out / "network.csv",
     }
     write_scores_csv(paths["scores"], result.detection)
-    write_rounds_csv(paths["rounds"], result.round_reports)
+    write_rounds_csv(paths["rounds"], result.federation)
     write_metrics_csv(paths["metrics"], result.detection)
     write_network_csv(paths["network"], result.network)
     return paths

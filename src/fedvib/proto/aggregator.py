@@ -67,38 +67,33 @@ ROUND_TIMEOUT_S = 3600.0
 
 @dataclass
 class RoundState:
-    """Per-round barrier bookkeeping with forward-only status transitions."""
+    """What one round collects: each participant's delta and window count.
+
+    The aggregator records only a delta the round is owed; ``record``
+    checks no more than that the delta fits the global model.
+    """
 
     round: int
     global_weights: object  # ModelWeights
     expected_clients: frozenset
-    received: dict = field(default_factory=dict)
-    status: str = "collecting"
+    received: dict = field(default_factory=dict)  # client id -> (delta, windows trained)
 
     def __post_init__(self):
         self.expected_clients = frozenset(self.expected_clients)
         if not self.expected_clients:
             raise ProtocolError("a round needs at least one expected client")
 
-    def record(self, client_id, delta):
-        if self.status != "collecting":
-            raise ProtocolError(f"round {self.round} is {self.status}, "
-                                "not accepting deltas")
-        if client_id not in self.expected_clients:
-            raise ProtocolError(f"client {client_id!r} is not part of round {self.round}")
-        if client_id in self.received:
-            raise ProtocolError(f"client {client_id!r} already submitted "
-                                f"for round {self.round}")
-        if delta.base_round != self.round:
-            raise ProtocolError(f"delta base_round {delta.base_round} != "
-                                f"round {self.round}")
+    def owes(self, client_id):
+        return client_id in self.expected_clients and client_id not in self.received
+
+    def record(self, client_id, delta, windows_trained=0):
         try:
             check_layout(self.global_weights.tensors, delta.tensors, "delta")
             check_finite(delta.tensors, context="delta")
         except (ShapeError, NumericsError) as e:
-            raise ProtocolError(f"client {client_id!r} sent an unusable "
-                                f"delta: {e}") from None
-        self.received[client_id] = delta
+            raise RoundAbortError(f"round {self.round}: client {client_id!r} "
+                                  f"sent an unusable delta: {e}") from None
+        self.received[client_id] = (delta, windows_trained)
 
     @property
     def missing(self):
@@ -109,18 +104,12 @@ class RoundState:
 
     def aggregate(self):
         """FedAvg the collected deltas into the next global model."""
-        if self.status != "collecting":
-            raise ProtocolError(f"cannot aggregate a round in status {self.status!r}")
-        if not self.complete():
-            raise ProtocolError(f"round {self.round} incomplete: "
-                                f"missing {self.missing}")
-        ordered = [self.received[cid] for cid in sorted(self.received)]
+        ordered = [self.received[cid][0] for cid in sorted(self.received)]
         new_global = apply_delta(self.global_weights, fedavg(ordered))
         try:  # finite deltas can still overflow float32 when applied
             check_finite(new_global.tensors, context="the new global model")
         except NumericsError as e:
             raise RoundAbortError(f"round {self.round}: {e}") from None
-        self.status = "aggregated"
         return new_global
 
 
@@ -159,7 +148,6 @@ class AggregationNode:
         self.records = []
         self._clients = {}       # endpoint -> client id, registered and connected
         self._endpoints = []     # every accepted endpoint, for bytes and shutdown
-        self._windows = {}       # client id -> windows trained, this round
         self._sent_base = 0      # bytes already attributed to earlier records
         self._recv_base = 0
         self._sel = None         # selector over the listener and open endpoints
@@ -212,8 +200,7 @@ class AggregationNode:
             self._sel.unregister(conn)
             conn.close()
         cid = self._clients.pop(conn, None)
-        if (state is not None and cid in state.expected_clients
-                and cid not in state.received):
+        if state is not None and state.owes(cid):
             raise RoundAbortError(f"round {state.round}: client {cid!r} "
                                   f"disconnected before submitting ({reason})")
 
@@ -259,7 +246,7 @@ class AggregationNode:
             self._send(conn, Error(code=ERR_PROTOCOL,
                                    text=f"submission claims {msg.client_id!r} "
                                         f"but the connection registered {cid!r}"), state)
-        elif state is None or cid not in state.expected_clients or cid in state.received:
+        elif state is None or not state.owes(cid):
             self._reject(conn, state, ERR_PROTOCOL,
                          f"delta from {cid!r}, which owes none to a round in flight")
         elif msg.round != state.round:
@@ -267,11 +254,7 @@ class AggregationNode:
                                    text=f"delta for round {msg.round} from {cid!r} "
                                         f"during round {state.round}"), state)
         else:
-            try:
-                state.record(cid, msg.delta)
-            except ProtocolError as e:
-                raise RoundAbortError(f"round {state.round}: {e}") from None
-            self._windows[cid] = msg.windows_trained
+            state.record(cid, msg.delta, msg.windows_trained)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -307,7 +290,6 @@ class AggregationNode:
         sent0, recv0 = self._sent_base, self._recv_base
         state = RoundState(round=r, global_weights=self.global_weights,
                            expected_clients=frozenset(self._clients.values()))
-        self._windows = {}
         self._serve(state, state.complete, self.round_timeout_s,
                     lambda: f"round {r}: no delta from {state.missing}")
         self.global_weights = state.aggregate()
@@ -319,7 +301,7 @@ class AggregationNode:
         self.records.append(RoundRecord(
             round=r,
             client_ids=sorted(state.expected_clients),
-            windows_trained=self._windows,
+            windows_trained={cid: w for cid, (_, w) in state.received.items()},
             bytes_sent=sent1 - sent0,
             bytes_received=recv1 - recv0,
             duration_s=time.monotonic() - t0))

@@ -1,5 +1,6 @@
 """Transports: length-framed messages over stream sockets, over a Unix
-socket for simulation inside one process or over TCP for deployment.
+socket for a federation simulated on one machine or over TCP for
+deployment.
 
 Every endpoint is a :class:`SocketEndpoint`:
 

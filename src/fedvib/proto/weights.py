@@ -76,17 +76,13 @@ def apply_delta(base_global, delta):
 def fedavg(deltas):
     """Unweighted elementwise mean of the deltas, accumulated in float64.
 
-    All deltas must share one layout and one base_round.  A single delta
-    averages to itself bitwise, and N identical copies average to the
-    original bitwise (float32 values are exact in float64, and small integer
-    multiples stay exact).
+    All deltas must share one layout.  A single delta averages to itself
+    bitwise, and N identical copies average to the original bitwise (float32
+    values are exact in float64, and small integer multiples stay exact).
     """
     if not deltas:
         raise ConfigError("fedavg needs at least one delta")
     first = deltas[0]
-    rounds = {d.base_round for d in deltas}
-    if len(rounds) > 1:
-        raise ConfigError(f"fedavg over mixed base rounds: {sorted(rounds)}")
     for d in deltas[1:]:
         check_layout(first.tensors, d.tensors, "delta layouts")
     out = {}

@@ -294,14 +294,14 @@ def test_c7_network_reduction_and_constant_traffic(rm_runs):
     reduction = res.network.reduction_percent
     assert reduction >= 95.0, f"reduction {reduction:.2f}% < 95%"
 
-    steady = {(r.bytes_sent, r.bytes_received) for r in res.round_reports[1:]}
+    steady = {(r.bytes_sent, r.bytes_received) for r in res.federation.records[1:]}
     assert len(steady) == 1, f"round payloads vary: {sorted(steady)}"
 
     # dataset-size independence: same layout, half vs double the batches
     small = run_historical(_rm_config(n_batches=40, rounds=3))
     large = run_historical(_rm_config(n_batches=80, rounds=3))
-    small_bytes = [(r.bytes_sent, r.bytes_received) for r in small.round_reports]
-    large_bytes = [(r.bytes_sent, r.bytes_received) for r in large.round_reports]
+    small_bytes = [(r.bytes_sent, r.bytes_received) for r in small.federation.records]
+    large_bytes = [(r.bytes_sent, r.bytes_received) for r in large.federation.records]
     assert small_bytes == large_bytes
     print(f"C7 network reduction: PASS — {reduction:.2f}% (>= 95%), "
           f"steady-state round payload {next(iter(steady))} constant, "

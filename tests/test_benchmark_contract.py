@@ -15,7 +15,7 @@ from fedvib import harness
 from fedvib.data import SynthConfig
 from fedvib.model import AutoencoderConfig
 from fedvib.nn import TrainConfig
-from fedvib.proto import Register
+from fedvib.proto import ModelWeights, Register, RoundState, WeightDelta
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PERFBENCH_MODULES = ("metrics", "tracing", "workloads")
@@ -61,6 +61,25 @@ def test_traced_in_process_frame_is_counted_once_each_way(perfbench, hub):
              if s.name.startswith("proto.transport.")]
     assert spans == [("proto.transport.send", frame_bytes),
                      ("proto.transport.recv", frame_bytes)]
+
+
+def test_traced_round_state_spans_carry_their_round(perfbench):
+    # tracing.py reads ``.round`` off the RoundState each wrapped call gets
+    from tracing import Tracer, traced
+
+    tracer = Tracer()
+    with traced(tracer):
+        state = RoundState(round=0, global_weights=ModelWeights({"w": np.ones(2)}),
+                           expected_clients={"a", "b"})
+        for cid in ("a", "b"):
+            state.record(cid, WeightDelta({"w": np.full(2, 0.5)}))
+        state.aggregate()
+    spans = [(s.name, s.attrs) for s in tracer.spans
+             if s.name.startswith("proto.aggregator.")]
+    assert spans == [("proto.aggregator.round_state", {"round": 0}),
+                     ("proto.aggregator.record", {"round": 0}),
+                     ("proto.aggregator.record", {"round": 0}),
+                     ("proto.aggregator.aggregate", {"round": 0})]
 
 
 def test_run_federation_takes_window_schedules_as_callables():

@@ -379,7 +379,7 @@ def test_an_exception_that_does_not_pickle_names_its_node():
     leftovers.assert_none()
 
 
-def test_a_node_that_does_not_pickle_leaves_nothing_running():
+def test_a_node_that_does_not_pickle_leaves_nothing_running(capfd):
     leftovers = _Leftovers()
     bad = make_node("n2", 2, rounds=2)
     bad.test_batches = (b for b in bad.test_batches)
@@ -387,6 +387,9 @@ def test_a_node_that_does_not_pickle_leaves_nothing_running():
     with pytest.raises(TypeError, match="pickle"):
         run_nodes(_launch_aggregator(), [make_node("n1", 1, rounds=2), bad], "in_process")
     leftovers.assert_none()
+    # n1's process outlives the launch and finds hub and pipe closed: it ends
+    # quietly; run_nodes joined it, so everything it wrote is captured
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_a_node_process_that_dies_before_registering_fails_the_launch_at_once():
@@ -653,7 +656,8 @@ def _submit_round(eps, models, r):
     return nxt
 
 
-def test_late_joiner_that_leaves_is_not_expected_next_round(hub):
+@pytest.mark.parametrize("leaves", ["closes", "sends_a_delta"])
+def test_late_joiner_that_leaves_is_not_expected_next_round(hub, leaves):
     agg = AggregationNode(global_init(), expected_clients=2, rounds=2,
                           registration_timeout_s=10.0, round_timeout_s=10.0)
     t, box = _start_aggregator(agg, hub)
@@ -662,6 +666,12 @@ def test_late_joiner_that_leaves_is_not_expected_next_round(hub):
     c = hub.connect()
     c.send(Register("c"))
     _until(lambda: _registered(agg) == ["a", "b", "c"])  # joined during round 0
+    if leaves == "sends_a_delta":  # c takes no part in round 0, so owes it none
+        c.send(DeltaSubmission("c", 0, _zero_delta(models["a"].weights, 0)))
+        err = c.recv(timeout=5.0)
+        assert isinstance(err, Error) and err.code == ERR_PROTOCOL, err
+        assert "'c'" in err.text
+        assert c.recv(timeout=5.0) is None
     c.close()
     _until(lambda: _registered(agg) == ["a", "b"])
 
@@ -792,7 +802,8 @@ def test_duplicate_delta_ends_only_its_sender(hub):
     t, box = _start_aggregator(agg, hub)
     eps, models = _register_all(hub, ["a", "b"])
 
-    delta = DeltaSubmission("a", 0, _zero_delta(models["a"].weights, 0))
+    delta = DeltaSubmission("a", 0, _zero_delta(models["a"].weights, 0),
+                            windows_trained=7)
     eps["a"].send(delta)
     eps["a"].send(delta)
     err = eps["a"].recv(timeout=5.0)
@@ -807,6 +818,7 @@ def test_duplicate_delta_ends_only_its_sender(hub):
     t.join(timeout=10.0)
     assert not t.is_alive() and "error" not in box
     assert [rec.client_ids for rec in box["records"]] == [["a", "b"], ["b"]]
+    assert box["records"][0].windows_trained == {"a": 7, "b": 0}
 
 
 def test_a_stale_delta_ends_nobodys_run(hub):

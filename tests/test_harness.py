@@ -90,16 +90,19 @@ def test_cold_start_window_schedule_values():
 def test_historical_run_shape_and_detection():
     cfg = make_config(rounds=3)
     res = run_historical(cfg)
-    assert len(res.round_reports) == 3
+    assert len(res.federation.records) == 3
     assert sorted(res.detection.verdicts) == ["m1", "m2"]
     # 30 batches -> 21 train-segment, 9 test
     for node, verdicts in res.detection.verdicts.items():
         assert len(verdicts) == 9
         assert [v.batch_index for v in verdicts] == list(range(21, 30))
-    for rep in res.round_reports:
-        assert sorted(rep.train_loss) == ["m1", "m2"]
-        assert all(np.isfinite(v) for v in rep.train_loss.values())
-        assert rep.bytes_sent > 0 and rep.bytes_received > 0
+    for rec in res.federation.records:
+        train_loss = {cid: s.train_loss
+                      for cid, node in res.federation.node_results.items()
+                      for s in node.round_stats if s.round == rec.round}
+        assert sorted(train_loss) == ["m1", "m2"]
+        assert all(np.isfinite(v) for v in train_loss.values())
+        assert rec.bytes_sent > 0 and rec.bytes_received > 0
     # the 2x-amplitude anomalies are easy: perfect detection expected
     for node, m in res.detection.metrics.items():
         assert m.f1 == 1.0, f"{node}: f1={m.f1}"
@@ -113,7 +116,8 @@ def test_historical_run_shape_and_detection():
 def test_zero_round_run_is_flagged_untrained():
     res = run_historical(make_config(rounds=0))
     assert res.detection.untrained
-    assert res.round_reports == []
+    assert res.federation.records == []
+    assert all(node.round_stats == [] for node in res.federation.node_results.values())
     for verdicts in res.detection.verdicts.values():
         assert len(verdicts) == 9  # scored, just with the initial model
 
@@ -190,7 +194,8 @@ def test_cold_start_windows_trained_follows_schedule():
     res = run_cold_start(cfg)
     # each node has 19 train batches x 12 windows = 228 available
     per_node = [64, 128, 192, 228]
-    assert [r.windows_trained for r in res.round_reports] == [2 * n for n in per_node]
+    assert ([sum(r.windows_trained.values()) for r in res.federation.records]
+            == [2 * n for n in per_node])
     for rec, expect in zip(res.federation.records, per_node):
         assert rec.windows_trained == {"m1": expect, "m2": expect}
 
